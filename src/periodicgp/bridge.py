@@ -28,8 +28,15 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import dft
 from .core import Covariogram, GridPath, PathEnsemble, SpectralCoefficients, TailDecay
-from .synthesis import RngStream, replicate_lag_products, sample_ensemble, sample_path
+from .synthesis import (
+    RngStream,
+    generators,
+    replicate_lag_products,
+    sample_ensemble,
+    sample_path,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -56,75 +63,79 @@ def centered_bridge_coefficients(support: int = DEFAULT_COEFF_SUPPORT) -> Spectr
     )
 
 
-def _plain_values(n: int, M: int, gen: np.random.Generator) -> np.ndarray:
-    """Sine-series bridge values on j/n, W drawn as one contiguous block."""
+def resolve_truncation(variant: str, n: int, M: int | None = None) -> int:
+    """M if given, else n/2 sine modes, or n/2 - 1 harmonics for the series variant."""
+    if M is not None:
+        return M
+    return n // 2 - 1 if variant == "centered_series" else n // 2
+
+
+def _sine_rows(variant: str, n: int, M: int | None, streams) -> np.ndarray:
+    """Sine-series bridge rows on j/n, one per stream, through one transform.
+
+    Each stream draws the centered_shift offset first, then its W block.
+    sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n.
+    centered_shift rotates each row by its offset and centralized subtracts
+    each row's grid mean; plain rows keep both ends pinned at zero.
+    """
+    M = resolve_truncation(variant, n, M)
     if M < 0 or M >= n:
         raise ValueError("sine truncation must satisfy 0 <= M < n")
-    w = gen.standard_normal(M)
+    shifts = np.zeros(len(streams), dtype=int)
+    w = np.empty((len(streams), M))
+    for i, gen in enumerate(generators(streams)):
+        if variant == "centered_shift":
+            shifts[i] = gen.integers(n)
+        w[i] = gen.standard_normal(M)
     amp = SQRT2 * w / (np.arange(1, M + 1) * np.pi)
-    if M < 32:
-        t = np.arange(n) / n
-        acc = np.zeros(n)
-        for k in range(1, M + 1):
-            acc += amp[k - 1] * np.sin(np.pi * k * t)
-        return acc
-    # sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n
-    F = np.zeros(n + 1, dtype=complex)
-    F[1:M + 1] = -1j * n * amp
-    values = np.fft.irfft(F, 2 * n)[:n]
-    values[0] = 0.0  # sin(0) = 0; pin the fixed end against transform rounding
+    values = np.fft.irfft(dft.spectrum(2 * n, 0.0, amp, 0.0), 2 * n, axis=1)[:, :n]
+    values[:, 0] = 0.0  # sin(0) = 0; pin the fixed end against transform rounding
+    if variant == "centered_shift":
+        rows = np.arange(len(streams))[:, None]
+        return values[rows, (np.arange(n) - shifts[:, None]) % n]
+    if variant == "centralized":
+        return values - values.mean(axis=1, keepdims=True)
     return values
 
 
 def plain_bridge_path(n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
     """Brownian bridge on j/n from M sine modes; both ends pinned at zero."""
-    M = n // 2 if M is None else M
-    return GridPath(n, _plain_values(n, M, rng.generator()), seed_tag=rng.tag)
+    return bridge_path("plain", n, M, rng)
 
 
 def centered_bridge_shift(n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
     """Plain bridge rotated by a uniform grid shift, drawn before the W block."""
-    M = n // 2 if M is None else M
-    gen = rng.generator()
-    u = int(gen.integers(n))
-    values = np.roll(_plain_values(n, M, gen), u)
-    return GridPath(n, values, seed_tag=rng.tag)
+    return bridge_path("centered_shift", n, M, rng)
 
 
 def centralized_bridge_path(n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
     """Plain bridge minus its grid mean; the output mean is zero exactly."""
-    M = n // 2 if M is None else M
-    values = _plain_values(n, M, rng.generator())
-    return GridPath(n, values - values.mean(), seed_tag=rng.tag)
+    return bridge_path("centralized", n, M, rng)
 
 
 def bridge_path(variant: str, n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
-    if variant == "plain":
-        return plain_bridge_path(n, M, rng)
-    if variant == "centered_shift":
-        return centered_bridge_shift(n, M, rng)
-    if variant == "centralized":
-        return centralized_bridge_path(n, M, rng)
     if variant == "centered_series":
-        K = n // 2 - 1 if M is None else M
-        return sample_path(centered_bridge_coefficients(), K, n, rng)
-    raise ValueError(f"unknown bridge variant {variant!r}")
+        return sample_path(centered_bridge_coefficients(),
+                           resolve_truncation(variant, n, M), n, rng)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown bridge variant {variant!r}")
+    return GridPath(n, _sine_rows(variant, n, M, [rng])[0], seed_tag=rng.tag)
 
 
 def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,
-                    M: int | None = None, workers: int = 1) -> PathEnsemble:
+                    M: int | None = None) -> PathEnsemble:
     """R replicate bridge paths, one stream per replicate as in synthesis."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown bridge variant {variant!r}")
     if R < 1:
         raise ValueError("need at least one replicate")
     if variant == "centered_series":
-        K = n // 2 - 1 if M is None else M
-        return sample_ensemble(centered_bridge_coefficients(), K, n, R,
-                               master_seed, workers=workers)
+        return sample_ensemble(centered_bridge_coefficients(),
+                               resolve_truncation(variant, n, M), n, R, master_seed)
     rows = np.empty((R, n))
-    for r in range(R):
-        rows[r] = bridge_path(variant, n, M, RngStream(master_seed, r)).values
+    for lo, hi in dft.row_chunks(R, 2 * n):
+        streams = [RngStream(master_seed, r) for r in range(lo, hi)]
+        rows[lo:hi] = _sine_rows(variant, n, M, streams)
     return PathEnsemble(n, rows, master_seed=master_seed)
 
 

@@ -4,7 +4,6 @@ Every command is deterministic given its flags; randomness flows from the
 single --seed flag and nothing else.  When --seed is omitted an entropy
 seed is drawn once and printed so the run can be reproduced.  Exit codes:
 0 ok, 2 usage, 3 aliasing, 4 invalid spectrum, 5 degenerate data.
-PERIODICGP_THREADS caps replicate-level parallelism (default 1).
 """
 
 from __future__ import annotations
@@ -31,25 +30,7 @@ from .core import (
     write_paths_csv,
 )
 
-_BRIDGE_CLI_NAMES = {
-    "plain": "plain",
-    "centered-shift": "centered_shift",
-    "centralized": "centralized",
-    "centered-series": "centered_series",
-}
-
-
-def _workers() -> int:
-    raw = os.environ.get("PERIODICGP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        raise ValueError(f"PERIODICGP_THREADS must be an integer, got {raw!r}") from None
-    if v < 1:
-        raise ValueError("PERIODICGP_THREADS must be >= 1")
-    return v
+_BRIDGE_CLI_NAMES = {v.replace("_", "-"): v for v in bridge.VARIANTS}
 
 
 def _resolve_seed(seed) -> int:
@@ -92,24 +73,26 @@ def cmd_simulate(args) -> None:
         probe = fit.model_coefficients(model, 1)
         K = _auto_truncation(probe, n, args.eps, args.trunc)
         coeffs = fit.model_coefficients(model, max(K, 1))
-        ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed, workers=_workers())
+        ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
         meta.update(a=args.a, p=args.p, truncation=K)
     elif args.model == "coeffs":
         if args.coeffs is None:
             raise ValueError("--model coeffs needs --coeffs FILE")
         coeffs = read_coefficients(args.coeffs)
         K = _auto_truncation(coeffs, n, args.eps, args.trunc)
-        ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed, workers=_workers())
+        ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
         meta.update(coeffs_file=args.coeffs, truncation=K)
     elif args.model.startswith("bridge:"):
         name = args.model.split(":", 1)[1]
         if name not in _BRIDGE_CLI_NAMES:
             raise ValueError(f"unknown bridge variant {name!r}; "
                              f"choose from {', '.join(_BRIDGE_CLI_NAMES)}")
+        if args.eps is not None:
+            raise ValueError("--eps does not apply to bridge models; use --trunc")
         variant = _BRIDGE_CLI_NAMES[name]
-        ensemble = bridge.bridge_ensemble(variant, R, n, seed, M=args.trunc,
-                                          workers=_workers())
-        meta.update(variant=name, truncation=args.trunc)
+        ensemble = bridge.bridge_ensemble(variant, R, n, seed, M=args.trunc)
+        meta.update(variant=name,
+                    truncation=bridge.resolve_truncation(variant, n, args.trunc))
     else:
         raise ValueError("--model must be param, coeffs, or bridge:<variant>")
     write_paths_csv(ensemble.values, f"{args.out}.csv")
@@ -326,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paths", type=int, default=1, help="replicate count")
     sim.add_argument("--seed", type=int, help="master seed; drawn and printed if omitted")
     sim.add_argument("--eps", type=float,
-                     help="relative tail energy for minimal truncation; "
-                          "default fills the band below Nyquist")
+                     help="relative tail energy for minimal truncation (series "
+                          "models only); default fills the band below Nyquist")
     sim.add_argument("--trunc", type=int,
                      help="explicit truncation (series harmonics, or sine modes for bridges)")
     sim.add_argument("--out", required=True, help="output prefix: writes .csv and .meta.json")

@@ -14,6 +14,8 @@ exact for trigonometric polynomials of degree below n/2, with Parseval
 cosine_quadrature(f, k) = (1/n) sum f_j cos(2 pi k j / n) is the rectangle
 rule for integral f(s) cos(2 pi k s) ds, spectrally accurate for smooth
 periodic f and O(n^-2) when f has a kink on a grid point.
+
+Batched transforms run over stacked rows, ROW_BUDGET grid values at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AliasingError, GridPath, is_power_of_two
+
+# grid values per batched transform: enough rows to amortize per-call
+# overhead, few enough that a chunk's temporaries stay at a few MB
+ROW_BUDGET = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -49,6 +55,28 @@ def analyze(path: GridPath) -> HarmonicDecomposition:
     )
 
 
+def row_chunks(R: int, n: int) -> list:
+    """(lo, hi) replicate ranges whose rows of length n fit ROW_BUDGET together."""
+    step = max(1, ROW_BUDGET // n)
+    return [(lo, min(lo + step, R)) for lo in range(0, R, step)]
+
+
+def spectrum(n: int, mean, sin_coef, cos_coef, nyquist=0.0) -> np.ndarray:
+    """Half spectrum whose irfft along the last axis is the analyze convention inverted.
+
+    sin_coef and cos_coef hold harmonics k = 1..K (K < n/2) along their last
+    axis, higher ones are zero; mean and nyquist hold one value per row.
+    Scalars broadcast, so a zero cosine part can be passed as 0.0.
+    """
+    sin_c = np.asarray(sin_coef, dtype=float)
+    K = sin_c.shape[-1]
+    F = np.zeros(sin_c.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    F[..., 0] = n * np.asarray(mean, dtype=float)
+    F[..., 1:K + 1] = n * (cos_coef - 1j * sin_c) / 2.0
+    F[..., n // 2] = n * np.asarray(nyquist, dtype=float)
+    return F
+
+
 def synthesize(h: HarmonicDecomposition) -> GridPath:
     """Inverse of analyze: rebuild the path from its harmonics."""
     n = h.n
@@ -58,11 +86,7 @@ def synthesize(h: HarmonicDecomposition) -> GridPath:
     cos_c = np.asarray(h.cos_coef, dtype=float)
     if sin_c.shape != (n // 2 - 1,) or cos_c.shape != (n // 2 - 1,):
         raise ValueError("harmonic arrays must have length n/2 - 1")
-    F = np.zeros(n // 2 + 1, dtype=complex)
-    F[0] = n * h.mean
-    F[1:n // 2] = n * (cos_c - 1j * sin_c) / 2.0
-    F[n // 2] = n * h.nyquist
-    return GridPath(n, np.fft.irfft(F, n))
+    return GridPath(n, np.fft.irfft(spectrum(n, h.mean, sin_c, cos_c, h.nyquist), n))
 
 
 def cosine_quadrature(samples, k: int) -> float:

@@ -130,15 +130,13 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
     R, n = e.R, e.n
     mean_stat = np.empty(R)
     c_stat = np.empty((R, K))
-    chunk = max(1, min(R, 2 ** 21 // n))
-    for lo in range(0, R, chunk):
-        block = e.values[lo:lo + chunk]
-        F = np.fft.rfft(block, axis=1)
-        mean_stat[lo:lo + block.shape[0]] = F[:, 0].real / n
+    for lo, hi in dft.row_chunks(R, n):
+        F = np.fft.rfft(e.values[lo:hi], axis=1)
+        mean_stat[lo:hi] = F[:, 0].real / n
         if K:
             sin_c = -2.0 * F[:, 1:K + 1].imag / n
             cos_c = 2.0 * F[:, 1:K + 1].real / n
-            c_stat[lo:lo + block.shape[0]] = (sin_c ** 2 + cos_c ** 2) / 4.0
+            c_stat[lo:hi] = (sin_c ** 2 + cos_c ** 2) / 4.0
     mean_stat = mean_stat ** 2
     if R > 1:
         c0_se = float(np.std(mean_stat, ddof=1)) / math.sqrt(R)

@@ -14,7 +14,6 @@ stream r; adding replicates never disturbs earlier ones.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,6 @@ from .core import (
 )
 
 SQRT2 = math.sqrt(2.0)
-
-# below this truncation the direct sum is cheaper than an inverse transform
-_DIRECT_SUM_LIMIT = 32
 
 DEFAULT_EPS = 1e-4
 
@@ -56,6 +52,13 @@ class RngStream:
     @property
     def tag(self) -> str:
         return f"{self.master_seed}:{self.stream_id}"
+
+
+def generators(streams) -> list:
+    """One numpy generator per stream; a missing stream is a usage error."""
+    if any(rng is None for rng in streams):
+        raise ValueError("sample paths need an RngStream")
+    return [rng.generator() for rng in streams]
 
 
 def truncation_index(c: SpectralCoefficients, eps: float = DEFAULT_EPS) -> int:
@@ -93,62 +96,40 @@ def truncation_index(c: SpectralCoefficients, eps: float = DEFAULT_EPS) -> int:
     return hi
 
 
-def _series_values(mean_term: float, amp_sin: np.ndarray, amp_cos: np.ndarray, n: int) -> np.ndarray:
-    """Evaluate mean + sum_k amp_sin[k] sin + amp_cos[k] cos on the grid j/n."""
-    K = amp_sin.size
-    if K < _DIRECT_SUM_LIMIT:
-        t = np.arange(n) / n
-        acc = np.full(n, mean_term)
-        for k in range(1, K + 1):
-            w = 2.0 * np.pi * k * t
-            acc += amp_sin[k - 1] * np.sin(w) + amp_cos[k - 1] * np.cos(w)
-        return acc
-    pad = n // 2 - 1 - K
-    h = dft.HarmonicDecomposition(
-        n=n,
-        mean=mean_term,
-        sin_coef=np.concatenate((amp_sin, np.zeros(pad))),
-        cos_coef=np.concatenate((amp_cos, np.zeros(pad))),
-        nyquist=0.0,
-    )
-    return dft.synthesize(h).values
+def _series_rows(c: SpectralCoefficients, K: int, n: int, streams) -> np.ndarray:
+    """Rows of the series truncated at harmonic K on j/n, one per stream.
 
-
-def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> GridPath:
-    """One trajectory of the series truncated at harmonic K, on the grid j/n."""
+    Each stream supplies its own 1 + 2K block; the stacked draws go through
+    one inverse transform, so a row does not depend on its neighbours.
+    """
     if not is_power_of_two(n) or n < 4:
         raise ValueError("grid size must be a power of two, n >= 4")
     if K < 0:
         raise ValueError("truncation must be nonnegative")
     if K >= n // 2:
         raise AliasingError(f"truncation K={K} aliases on a grid of size {n}")
-    draws = rng.generator().standard_normal(1 + 2 * K)
-    ck = c.materialize(K)
-    amp_sin = SQRT2 * ck * draws[1::2]
-    amp_cos = SQRT2 * ck * draws[2::2]
-    values = _series_values(c.c0 * draws[0], amp_sin, amp_cos, n)
-    return GridPath(n, values, seed_tag=rng.tag)
+    draws = np.empty((len(streams), 1 + 2 * K))
+    for i, gen in enumerate(generators(streams)):
+        draws[i] = gen.standard_normal(1 + 2 * K)
+    amp = SQRT2 * c.materialize(K)
+    F = dft.spectrum(n, c.c0 * draws[:, 0], amp * draws[:, 1::2], amp * draws[:, 2::2])
+    return np.fft.irfft(F, n, axis=1)
+
+
+def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> GridPath:
+    """One trajectory of the series truncated at harmonic K, on the grid j/n."""
+    return GridPath(n, _series_rows(c, K, n, [rng])[0], seed_tag=rng.tag)
 
 
 def sample_ensemble(c: SpectralCoefficients, K: int, n: int, R: int,
-                    master_seed: int, workers: int = 1) -> PathEnsemble:
+                    master_seed: int) -> PathEnsemble:
     """R independent paths; replicate r always draws from stream r."""
     if R < 1:
         raise ValueError("need at least one replicate")
     rows = np.empty((R, n))
-
-    def fill(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            rows[r] = sample_path(c, K, n, RngStream(master_seed, r)).values
-
-    if workers <= 1 or R < 4 * workers:
-        fill(0, R)
-    else:
-        step = -(-R // workers)
-        bounds = [(lo, min(lo + step, R)) for lo in range(0, R, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(fill, lo, hi) for lo, hi in bounds]:
-                fut.result()
+    for lo, hi in dft.row_chunks(R, n):
+        streams = [RngStream(master_seed, r) for r in range(lo, hi)]
+        rows[lo:hi] = _series_rows(c, K, n, streams)
     return PathEnsemble(n, rows, master_seed=master_seed)
 
 
@@ -167,12 +148,10 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     if np.any(d < 0) or np.any(d >= n):
         raise ValueError("lags must satisfy 0 <= d < n")
     out = np.empty((R, d.size))
-    chunk = max(1, min(R, 2 ** 21 // n))
-    for lo in range(0, R, chunk):
-        block = v[lo:lo + chunk]
-        F = np.fft.rfft(block, axis=1)
+    for lo, hi in dft.row_chunks(R, n):
+        F = np.fft.rfft(v[lo:hi], axis=1)
         ac = np.fft.irfft(F * F.conj(), n, axis=1) / n
-        out[lo:lo + block.shape[0]] = ac[:, d]
+        out[lo:hi] = ac[:, d]
     return out
 
 

@@ -5,16 +5,23 @@ before being frozen; seeds are fixed, so each criterion is deterministic.
 One test per criterion, named and printed as its own pass/fail line.
 """
 
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from periodicgp import bridge, fit, regularity, spectral, synthesis
 from periodicgp.cli import main as cli_main
-from periodicgp.core import ParametricModel, SpectralCoefficients, h_norm
+from periodicgp.core import (
+    ParametricModel,
+    SpectralCoefficients,
+    h_norm,
+    write_coefficients,
+)
 
 
 def test_criterion_1_bridge_coefficient_recovery():
@@ -165,41 +172,43 @@ def test_criterion_8_mle_calibration():
           f"equivariance {max(equiv_p, equiv_a):.1e}, {elapsed:.1f}s")
 
 
-def test_criterion_9_cli_byte_determinism(tmp_path):
-    from periodicgp.core import write_coefficients
+def _criterion_9_commands(root, cfile, gfile):
+    """Criterion 9's command list, writing every output under root."""
+    sim = root / "sim"
+    return [
+        ("simulate", "--model", "param", "--a", "1", "--p", "1.5",
+         "--n", "512", "--paths", "3", "--seed", "7", "--out", str(sim)),
+        ("simulate", "--model", "bridge:centralized", "--n", "256",
+         "--paths", "2", "--seed", "3", "--out", str(root / "brg")),
+        ("transform", "--direction", "c2g", "--in", str(cfile),
+         "--grid", "256", "--check", "--out", str(root / "gout.csv")),
+        ("transform", "--direction", "g2c", "--in", str(gfile),
+         "--K", "16", "--out", str(root / "cout.json")),
+        ("fit", "--in", str(sim) + ".csv", "--out", str(root / "fit")),
+        ("regularity", "--coeffs", "bridge", "--out", str(root / "reg.json")),
+        ("bridge-check", "--R", "2000", "--n", "256", "--seed", "0",
+         "--terms", "100000", "--out", str(root / "chk.json")),
+        ("sweep", "--p-list", "1,1.6,2.1,3.1", "--a", "1", "--n", "256",
+         "--seed", "11", "--out", str(root / "sw")),
+    ]
 
-    cfile = tmp_path / "c.json"
+
+def _criterion_9_inputs(directory):
+    cfile = directory / "c.json"
     write_coefficients(SpectralCoefficients(1.0, (0.5, 0.25)), cfile)
-    gfile = tmp_path / "g.csv"
+    gfile = directory / "g.csv"
     spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(), gfile,
                                    n=1024)
-    sim0 = tmp_path / "r0" / "sim"
-    (tmp_path / "r0").mkdir()
+    return cfile, gfile
 
-    def commands(root):
-        sim = root / "sim"
-        return [
-            ("simulate", "--model", "param", "--a", "1", "--p", "1.5",
-             "--n", "512", "--paths", "3", "--seed", "7", "--out", str(sim)),
-            ("simulate", "--model", "bridge:centralized", "--n", "256",
-             "--paths", "2", "--seed", "3", "--out", str(root / "brg")),
-            ("transform", "--direction", "c2g", "--in", str(cfile),
-             "--grid", "256", "--check", "--out", str(root / "gout.csv")),
-            ("transform", "--direction", "g2c", "--in", str(gfile),
-             "--K", "16", "--out", str(root / "cout.json")),
-            ("fit", "--in", str(sim) + ".csv", "--out", str(root / "fit")),
-            ("regularity", "--coeffs", "bridge", "--out", str(root / "reg.json")),
-            ("bridge-check", "--R", "2000", "--n", "256", "--seed", "0",
-             "--terms", "100000", "--out", str(root / "chk.json")),
-            ("sweep", "--p-list", "1,1.6,2.1,3.1", "--a", "1", "--n", "256",
-             "--seed", "11", "--out", str(root / "sw")),
-        ]
 
+def test_criterion_9_cli_byte_determinism(tmp_path):
+    cfile, gfile = _criterion_9_inputs(tmp_path)
     roots = []
     for name in ("run_a", "run_b"):
         root = tmp_path / name
         root.mkdir()
-        for argv in commands(root):
+        for argv in _criterion_9_commands(root, cfile, gfile):
             assert cli_main([str(a) for a in argv]) == 0, argv
         roots.append(root)
 
@@ -210,3 +219,47 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
         assert (roots[0] / name).read_bytes() == (roots[1] / name).read_bytes(), name
     print(f"\nPASS criterion 9: {len(files_a)} output files byte-identical "
           f"across re-runs of all six commands")
+
+
+# SHA-256 of every file written by criterion 9's commands, plus two short
+# truncations: a 2-harmonic coefficient file (coef) and an M = 16 bridge
+# (brg16).  Digests depend on numpy's FFT; a change that moves them must
+# re-pin them and say why.
+GOLDEN_DIGESTS = {
+    "brg.csv": "0a473bd2f5710fd2762a55fd37b94416fcb5f71cd34041ed3d6f88a2539113bd",
+    "brg.meta.json": "3923ebf7fa33637275e997a3634be7826c72429fdb38ea7555775f3200c98771",
+    "brg16.csv": "07b2b4b487cc42fccc3fcc98eea7647955d3ae3a4f14f8fed0635dfcc6d3eddc",
+    "brg16.meta.json": "feb5b90c8843f82a46400b361f60922b4c90bcb4d5480ae2058c3081b460b6d6",
+    "chk.json": "c3e2cd8a46b539fb82767e187318e725d63bcb73b46589c9da2c90d0664c1cd5",
+    "coef.csv": "c68ac3c55bb28e9d1685100fca5354c5d007be91723b767904bd1f77c41c3b90",
+    "coef.meta.json": "7e5ed086ccaaa3850c71dbf798df360434715fe8ce4db535b31729a039a066c6",
+    "cout.json": "af8d3d5d0a7ae7cf79e1f643c114537f67e5676e5ef31fbdc87802d16b053830",
+    "fit.json": "f421cf695a26cdc966bc0c8597085ad58b14f86abc7442d4f86c0862b01550ec",
+    "fit.residuals.csv": "289251f8a408532c7c15ad5ebeef02782a2dacc3807aada253fc5c2b65436daa",
+    "gout.csv": "ede3e3fdffa484682110573986c3ab975f4f06088d8d7a4e8a4e9c62ea736d24",
+    "gout.csv.check.json": "6b0ffea04504adbf1cfdac6709b897398d54cbb585556c87e5644967c68b760d",
+    "reg.json": "137dd1b2d801890be634ce1a777b8554779341227bb8ab94fbbb8a7f81aedcbe",
+    "sim.csv": "ba2a1ecb9b0b7fc6a9f8f1ee7e79177aec2c9eb627ecd35dd554b6c2516bb299",
+    "sim.meta.json": "def7ebcb4c901316cb4ff70c2e53dcdec55c20460e32656ca08206ad95256c96",
+    "sw.csv": "9fa22a8c760e6bf35a1a477d3abc3d2d999a8bb9378405c8ece0679ce146d4aa",
+    "sw.meta.json": "45f2267cea198a0060a65e9c8aa839387b08a7e580b286ef41c9910e4bef40e2",
+}
+
+
+def test_golden_output_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths keep tmp names out of the sidecars
+    cfile, gfile = _criterion_9_inputs(Path("."))
+    root = Path("out")
+    root.mkdir()
+    short = [
+        ("simulate", "--model", "coeffs", "--coeffs", str(cfile), "--n", "64",
+         "--paths", "3", "--seed", "5", "--out", str(root / "coef")),
+        ("simulate", "--model", "bridge:centralized", "--trunc", "16", "--n", "256",
+         "--paths", "2", "--seed", "3", "--out", str(root / "brg16")),
+    ]
+    for argv in _criterion_9_commands(root, cfile, gfile) + short:
+        assert cli_main(list(argv)) == 0, argv
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in root.iterdir()}
+    assert digests == GOLDEN_DIGESTS
+    print(f"\nPASS golden digests: {len(digests)} output files match")

@@ -54,15 +54,16 @@ class TestPlainBridge:
             assert path.values[0] == 0.0
 
     def test_transform_route_matches_direct_sum(self):
-        # M = 40 goes through the doubled-grid transform; check by hand
-        n, M = 128, 40
-        path = bridge.plain_bridge_path(n, M=M, rng=RngStream(3, 0))
-        w = RngStream(3, 0).generator().standard_normal(M)
-        t = np.arange(n) / n
-        hand = np.zeros(n)
-        for k in range(1, M + 1):
-            hand += math.sqrt(2) * w[k - 1] * np.sin(np.pi * k * t) / (k * math.pi)
-        assert np.max(np.abs(path.values - hand)) < 1e-12
+        # every M goes through the doubled-grid transform; check by hand
+        n = 128
+        for M in (40, 16):
+            path = bridge.plain_bridge_path(n, M=M, rng=RngStream(3, 0))
+            w = RngStream(3, 0).generator().standard_normal(M)
+            t = np.arange(n) / n
+            hand = np.zeros(n)
+            for k in range(1, M + 1):
+                hand += math.sqrt(2) * w[k - 1] * np.sin(np.pi * k * t) / (k * math.pi)
+            assert np.max(np.abs(path.values - hand)) < 1e-12
 
     def test_midpoint_variance_is_quarter(self):
         e = bridge.bridge_ensemble("plain", 20000, 256, 5)
@@ -131,10 +132,14 @@ class TestBridgeDispatch:
         with pytest.raises(AliasingError):
             bridge.bridge_path("centered_series", 64, M=40, rng=RngStream(0, 0))
 
-    def test_ensemble_workers_deterministic(self):
-        serial = bridge.bridge_ensemble("plain", 6, 128, 11, workers=1)
-        threaded = bridge.bridge_ensemble("plain", 6, 128, 11, workers=3)
-        assert np.array_equal(serial.values, threaded.values)
+    def test_missing_stream_is_a_value_error(self):
+        for fn in (bridge.plain_bridge_path, bridge.centered_bridge_shift,
+                   bridge.centralized_bridge_path):
+            with pytest.raises(ValueError, match="RngStream"):
+                fn(64)
+        for variant in bridge.VARIANTS:
+            with pytest.raises(ValueError, match="RngStream"):
+                bridge.bridge_path(variant, 64)
 
 
 class TestDecomposition:

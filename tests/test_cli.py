@@ -77,16 +77,23 @@ class TestSimulate:
         assert (out.with_suffix(".csv").read_bytes()
                 == rerun.with_suffix(".csv").read_bytes())
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path, monkeypatch):
-        one = tmp_path / "serial"
-        run("simulate", "--model", "param", "--a", 1, "--p", 1.1,
-            "--n", 256, "--paths", 8, "--seed", 5, "--out", one)
-        monkeypatch.setenv("PERIODICGP_THREADS", "3")
-        many = tmp_path / "threaded"
-        run("simulate", "--model", "param", "--a", 1, "--p", 1.1,
-            "--n", 256, "--paths", 8, "--seed", 5, "--out", many)
-        assert (one.with_suffix(".csv").read_bytes()
-                == many.with_suffix(".csv").read_bytes())
+    def test_bridge_rejects_eps(self, tmp_path, capsys):
+        out = tmp_path / "brg"
+        rc = run("simulate", "--model", "bridge:plain", "--n", 64, "--eps", 1e-3,
+                 "--seed", 0, "--out", out)
+        assert rc == 2
+        assert "--eps" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
+    def test_bridge_meta_records_resolved_truncation(self, tmp_path):
+        for name, trunc, want in (("plain", None, 32), ("centered-shift", None, 32),
+                                  ("centralized", 16, 16), ("centered-series", None, 31)):
+            out = tmp_path / name
+            flags = () if trunc is None else ("--trunc", trunc)
+            assert run("simulate", "--model", f"bridge:{name}", "--n", 64,
+                       "--seed", 1, *flags, "--out", out) == 0
+            meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+            assert meta["truncation"] == want, name
 
 
 class TestTransform:

@@ -106,8 +106,8 @@ class TestSamplePath:
         assert np.allclose(small.cos_coef[:4], large.cos_coef[:4], atol=1e-12)
 
     def test_direct_sum_and_transform_route_agree(self):
-        # K = 31 stays on the direct route, K = 40 takes the transform route;
-        # compare both against a plain hand-written sum
+        # every truncation takes the transform route; compare a short and a
+        # longer one against a plain hand-written sum
         c = SpectralCoefficients(0.2, tuple(1.0 / k**1.5 for k in range(1, 41)))
         for K in (31, 40):
             path = sample_path(c, K, 128, RngStream(9, 0))
@@ -134,11 +134,20 @@ class TestSampleEnsemble:
         five = sample_ensemble(c, 2, 16, 5, 77)
         assert np.array_equal(two.values, five.values[:2])
 
-    def test_worker_count_does_not_change_output(self):
+    def test_rows_match_single_paths_across_chunks(self):
+        # R spans several row chunks; every row must equal the one-path
+        # function on its own stream, bit for bit, for every construction
+        R, n = 600, 1024
+        assert len(dft.row_chunks(R, n)) > 1 and len(dft.row_chunks(R, 2 * n)) > 1
         c = SpectralCoefficients(0.3, (0.8, 0.4, 0.2, 0.1))
-        serial = sample_ensemble(c, 4, 32, 9, 13, workers=1)
-        threaded = sample_ensemble(c, 4, 32, 9, 13, workers=3)
-        assert np.array_equal(serial.values, threaded.values)
+        e = sample_ensemble(c, 4, n, R, 13)
+        for r in range(R):
+            assert np.array_equal(e.values[r], sample_path(c, 4, n, RngStream(13, r)).values)
+        for variant in bridge.VARIANTS:
+            e = bridge.bridge_ensemble(variant, R, n, 21, M=16)
+            for r in range(R):
+                alone = bridge.bridge_path(variant, n, M=16, rng=RngStream(21, r))
+                assert np.array_equal(e.values[r], alone.values), (variant, r)
 
     def test_variance_identity_and_gaussian_marginals(self):
         # mean over t of E[x_t^2] equals the truncated squared mass
