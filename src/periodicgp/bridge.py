@@ -195,6 +195,8 @@ def decomposition_check(R: int, n: int, M: int | None = None,
     closed form at 8 lags, and the Z-residual correlation at 8 gridpoints,
     all within `band` standard errors.
     """
+    if R < 2:
+        raise ValueError("decomposition check needs R >= 2 replicates for a variance")
     e = bridge_ensemble("centered_shift", R, n, master_seed, M=M)
     z = e.values.mean(axis=1)
     resid = e.values - z[:, None]

@@ -22,12 +22,12 @@ from .core import (
     ParametricModel,
     PathEnsemble,
     SpectrumError,
-    format_float,
     read_coefficients,
     read_paths_csv,
     write_coefficients,
     write_json,
     write_paths_csv,
+    write_table_csv,
 )
 
 _BRIDGE_CLI_NAMES = {v.replace("_", "-"): v for v in bridge.VARIANTS}
@@ -159,16 +159,10 @@ def cmd_fit(args) -> None:
         },
     }, f"{args.out}.json")
     h = dft.analyze(path)
-    residuals = fit.harmonic_residuals(path, result)
-    with open(f"{args.out}.residuals.csv", "w", newline="\n") as fh:
-        fh.write("k,sin,cos,residual\n")
-        for i in range(result.K_used):
-            fh.write(",".join([
-                str(i + 1),
-                format_float(h.sin_coef[i]),
-                format_float(h.cos_coef[i]),
-                format_float(residuals[i]),
-            ]) + "\n")
+    K = result.K_used
+    write_table_csv("k,sin,cos,residual",
+                    [np.arange(1.0, K + 1), h.sin_coef[:K], h.cos_coef[:K],
+                     fit.harmonic_residuals(path, result)], f"{args.out}.residuals.csv")
 
 
 def cmd_regularity(args) -> None:
@@ -274,13 +268,8 @@ def cmd_sweep(args) -> None:
         coeffs = fit.model_coefficients(ParametricModel(args.a, p), max(K, 1))
         path = synthesis.sample_path(coeffs, K, n, synthesis.RngStream(seed, 0))
         columns.append(path.values)
-    labels = [f"x_p{p:g}" for p in p_list]
-    t = np.arange(n) / n
-    with open(f"{args.out}.csv", "w", newline="\n") as fh:
-        fh.write("t," + ",".join(labels) + "\n")
-        for j in range(n):
-            fh.write(",".join([format_float(t[j])] +
-                              [format_float(col[j]) for col in columns]) + "\n")
+    write_table_csv("t," + ",".join(f"x_p{p:g}" for p in p_list),
+                    [np.arange(n) / n, *columns], f"{args.out}.csv")
     write_json({
         "command": "sweep",
         "a": args.a,

@@ -22,6 +22,7 @@ with DFT bins and circular shifts are plain index rotations.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -334,11 +335,27 @@ class RegularityReport:
 
 
 # ---------------------------------------------------------------------------
-# File formats.  Floats are written with 17 significant digits, which
-# round-trips IEEE doubles exactly and keeps every writer byte-deterministic.
+# File formats.  CSV cells have 17 significant digits, which round-trips IEEE
+# doubles exactly and keeps every writer byte-deterministic.  Tables are
+# formatted in blocks of BLOCK_VALUES cells: peak memory stays that of a loop.
+
+CELL_FORMAT = "%.17g"
+BLOCK_VALUES = 4096
+
 
 def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    return CELL_FORMAT % float(x)
+
+
+def write_table_csv(header: str, columns, path) -> None:
+    """Write equal-length columns under a header line, one CELL_FORMAT cell each."""
+    step = max(1, BLOCK_VALUES // len(columns))
+    row_format = ",".join([CELL_FORMAT] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), step):
+            block = np.column_stack([c[lo:lo + step] for c in columns])
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def jsonable(obj):
@@ -384,26 +401,30 @@ def write_paths_csv(values: np.ndarray, path) -> None:
     v = np.atleast_2d(np.asarray(values, dtype=float))
     R, n = v.shape
     header = "t,x" if R == 1 else "t," + ",".join(f"x{r}" for r in range(R))
-    t = np.arange(n) / n
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for j in range(n):
-            row = [format_float(t[j])] + [format_float(v[r, j]) for r in range(R)]
-            fh.write(",".join(row) + "\n")
+    write_table_csv(header, [np.arange(n) / n, *v], path)
+
+
+def read_grid_csv(path, header_ok, expected: str) -> np.ndarray:
+    """Rows of a CSV table whose first column is the grid j/n, n a power of two."""
+    with open(path) as fh:
+        if not header_ok(fh.readline().strip()):
+            raise ValueError(f"{path}: expected {expected}")
+        line = fh.readline()
+        while line and not line.split("#", 1)[0].strip():  # lines loadtxt skips
+            line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: no data rows after the header")
+        # chain, not seek: the input may be a pipe
+        data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
+    n = data.shape[0]
+    if not is_power_of_two(n):
+        raise ValueError(f"{path}: grid size {n} is not a power of two")
+    if np.max(np.abs(data[:, 0] - np.arange(n) / n)) > 1e-12:
+        raise ValueError(f"{path}: first column is not the uniform grid j/n")
+    return data
 
 
 def read_paths_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a path CSV; returns (t, values) with values shaped (R, n)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("t,"):
-            raise ValueError(f"{path}: expected a header starting with 't,'")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    t = data[:, 0]
-    values = data[:, 1:].T
-    n = t.size
-    if not is_power_of_two(n):
-        raise ValueError(f"{path}: grid size {n} is not a power of two")
-    if np.max(np.abs(t - np.arange(n) / n)) > 1e-12:
-        raise ValueError(f"{path}: time column is not the uniform grid j/n")
-    return t, values
+    data = read_grid_csv(path, lambda h: h.startswith("t,"), "a header starting with 't,'")
+    return data[:, 0], data[:, 1:].T

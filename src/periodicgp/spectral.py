@@ -22,9 +22,10 @@ from .core import (
     PathEnsemble,
     SpectralCoefficients,
     SpectrumError,
-    format_float,
     is_power_of_two,
     negative_mass_tolerance,
+    read_grid_csv,
+    write_table_csv,
 )
 
 DEFAULT_QUADRATURE_GRID = 4096
@@ -158,26 +159,12 @@ def write_covariogram_csv(g: Covariogram, path, n: int | None = None) -> None:
     if g.values is None and n is None:
         raise ValueError("closed-form covariogram needs an explicit grid size")
     values = g.sample(n if g.values is None else g.n)
-    m = values.size
-    with open(path, "w", newline="\n") as fh:
-        fh.write("delta,value\n")
-        for j in range(m):
-            fh.write(f"{format_float(j / m)},{format_float(values[j])}\n")
+    write_table_csv("delta,value", [np.arange(values.size) / values.size, values], path)
 
 
 def read_covariogram_csv(path) -> Covariogram:
     """Read a delta,value table into a user covariogram (validated)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "delta,value":
-            raise ValueError(f"{path}: expected header 'delta,value'")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    data = read_grid_csv(path, lambda h: h == "delta,value", "header 'delta,value'")
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns")
-    delta, values = data[:, 0], data[:, 1]
-    m = delta.size
-    if not is_power_of_two(m):
-        raise ValueError(f"{path}: grid size {m} is not a power of two")
-    if np.max(np.abs(delta - np.arange(m) / m)) > 1e-12:
-        raise ValueError(f"{path}: delta column is not the uniform grid j/n")
-    return Covariogram.from_table(values)
+    return Covariogram.from_table(data[:, 1])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,32 @@ class TestBridgeCheckCommand:
         rep = json.loads(out.read_text())
         for entry in rep["identity"]:
             assert entry["gap"] < 1e-6
+
+    def test_single_replicate_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "check.json"
+        assert run("bridge-check", "--R", 1, "--n", 64, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "R >= 2" in err and "Warning" not in err
+        assert not out.exists()
+
+
+class TestHeaderOnlyInput:
+    @pytest.mark.parametrize("command, text", [
+        (("fit",), "t,x\n"),
+        (("regularity",), "t,x0,x1\n\n"),
+        (("transform", "--direction", "g2c"), "delta,value\n"),
+        (("transform", "--direction", "g2c"), "delta,value\n\n# no rows\n"),
+    ])
+    def test_no_data_rows_is_a_usage_error(self, tmp_path, capsys, command, text):
+        f = tmp_path / "empty.csv"
+        f.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*command, "--in", f, "--out", tmp_path / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no data rows" in err and "Warning" not in err
+        assert not caught
 
 
 class TestSweep:

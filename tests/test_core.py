@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -275,6 +277,44 @@ class TestFileFormats:
         assert f.read_text().splitlines()[0] == "t,x0,x1,x2"
         _, back = read_paths_csv(f)
         assert np.array_equal(back, values)
+
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_csv_cells_are_format_float_bytes(self, tmp_path, R):
+        special = [-0.0, 5e-324, 1e-320, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1 / 3, 0.1]
+        n = 4096
+        assert n > core.BLOCK_VALUES // (R + 1)  # the table spans several row blocks
+        values = np.random.default_rng(2).standard_normal((R, n))
+        values[:, :len(special)] = special
+        values[-1, -len(special):] = special  # and again in the last block
+        f = tmp_path / "p.csv"
+        write_paths_csv(values, f)
+        lines = f.read_text().splitlines()
+        assert lines[0] == ("t,x" if R == 1 else "t,x0,x1,x2")
+        assert len(lines) == n + 1
+        t = np.arange(n) / n
+        for j, line in enumerate(lines[1:]):
+            assert line.split(",") == [core.format_float(x) for x in (t[j], *values[:, j])]
+        assert lines[1].split(",")[1] == "-0"
+
+    def test_blank_and_comment_lines_before_data_are_skipped(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("t,x\n\n# note\n0,1.5\n0.5,-2\n")
+        t, values = read_paths_csv(f)
+        assert np.array_equal(t, [0.0, 0.5])
+        assert np.array_equal(values, [[1.5, -2.0]])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+    def test_reads_a_path_csv_from_a_pipe(self, tmp_path):
+        fifo = tmp_path / "p.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("t,x\n0,1.5\n0.5,-2\n",),
+                                  daemon=True)  # never blocks the test run on a failed read
+        writer.start()
+        t, values = read_paths_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(values, [[1.5, -2.0]])
 
     def test_json_output_is_canonical(self, tmp_path):
         f = tmp_path / "m.json"
