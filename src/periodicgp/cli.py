@@ -134,7 +134,9 @@ def _load_single_path(infile: str, column: int) -> GridPath:
 def cmd_fit(args) -> None:
     path = _load_single_path(args.infile, args.column)
     result = fit.fit_mle(path, K=args.K, p_bounds=(args.p_min, args.p_max))
-    report = fit.goodness_of_fit(path, result)
+    h = dft.analyze(path)
+    residuals = fit.standardized_residuals(h, result)
+    report = fit.residual_report(residuals)
     write_json({
         "fit": {
             "a_hat": result.a_hat,
@@ -158,11 +160,10 @@ def cmd_fit(args) -> None:
             "threshold": report.threshold,
         },
     }, f"{args.out}.json")
-    h = dft.analyze(path)
     K = result.K_used
     write_table_csv("k,sin,cos,residual",
-                    [np.arange(1.0, K + 1), h.sin_coef[:K], h.cos_coef[:K],
-                     fit.harmonic_residuals(path, result)], f"{args.out}.residuals.csv")
+                    [np.arange(1.0, K + 1), h.sin_coef[:K], h.cos_coef[:K], residuals],
+                    f"{args.out}.residuals.csv")
 
 
 def cmd_regularity(args) -> None:

@@ -390,9 +390,9 @@ def read_coefficients(path) -> SpectralCoefficients:
     try:
         raw = [data["c0"], *data["c"]]
         tail = data.get("tail")
+        decay = None if tail is None else TailDecay(q=float(tail["q"]), const=float(tail["const"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coefficient file {path}: {exc}") from exc
-    decay = None if tail is None else TailDecay(q=float(tail["q"]), const=float(tail["const"]))
     return validate_coefficients(raw, declared_tail=decay)
 
 

@@ -10,17 +10,24 @@ closed form:
 
     a^2(p) = (1/(4K)) sum_{k<=K} (sin_k^2 + cos_k^2) k^(2p).
 
-What remains is the one-dimensional criterion
+What remains is the one-dimensional criterion, the Whittle periodogram
+likelihood specialised to this family,
 
     g(p) = K log a^2(p) - 2 p sum_{k<=K} log k      (+ constants),
 
 which is convex in p (a log-sum-exp of linear functions minus a linear
-term), hence unimodal on any bracket.  fit_mle scans a coarse grid to
-locate the minimum, refines by golden section, and polishes the interior
-root of g' with Newton steps so the reported p is a stationary point to
-machine precision rather than a bracket midpoint.  That makes the
-estimate invariant, to well below 1e-9, under rescaling of the data,
-since scaling shifts g by a constant.
+term).  With weights w_k proportional to T_k k^(2p), T_k = sin_k^2 + cos_k^2,
+
+    g'(p) = 2K E_w[log k] - 2 sum_{k<=K} log k,    g''(p) = 4K Var_w[log k],
+
+so g' is increasing.  Its signs at the search bounds decide whether the
+minimizer is a bound (flag "boundary") or the single interior root of g';
+fit_mle finds that root by Newton steps on g', replacing any step that
+leaves the current sign-change bracket by the bracket's midpoint.  The
+reported p is a stationary point to machine precision rather than a
+bracket midpoint, and since rescaling the data only shifts log T_k by a
+constant, which the normalized weights do not see, the estimate is
+invariant under it to well below 1e-9.
 
 The path mean plays no role in the model (c0 = 0); it is removed by the
 harmonic analysis and reported separately.
@@ -32,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import kstest
+from scipy.special import expm1
 
 from . import dft
 from .core import (
@@ -45,8 +52,7 @@ from .core import (
 )
 
 DEFAULT_P_BOUNDS = (0.55, 6.0)
-P_TOLERANCE = 1e-6
-COARSE_SCAN_POINTS = 32
+_MAX_SLOPE_EVALUATIONS = 100
 DISPERSION_THRESHOLD = 2.0
 _ENERGY_FLOOR = 1e-300
 
@@ -81,60 +87,59 @@ def profile_amplitude(h: dft.HarmonicDecomposition, p: float, K: int) -> float:
     return float(np.sum(T * np.exp(2.0 * p * logk))) / (4.0 * K)
 
 
-def _criterion(T: np.ndarray):
-    """g, g', g'' of the profiled criterion; weights via exp for stability."""
+def _slope(T: np.ndarray):
+    """p -> (g'(p), g''(p)) of the profiled criterion, from one weighted pass over T.
+
+    The weights T_k k^(2p) are taken as exp(e - max e), e = log T_k + 2p log k:
+    g' and g'' are ratios of weighted sums, so the common factor drops out,
+    and no exponent can overflow whatever the bounds or the data scale.
+    """
     K = T.size
     logk = np.log(np.arange(1, K + 1, dtype=float))
-    S = float(logk.sum())
+    two_S = 2.0 * float(logk.sum())
+    keep = T > 0.0  # zero energies carry zero weight
+    logT, logk = np.log(T[keep]), logk[keep]
+    logk_sq = logk * logk
 
-    def parts(p: float):
-        w = T * np.exp(2.0 * p * logk)
+    def slope(p: float):
+        e = logT + 2.0 * p * logk
+        w = np.exp(e - e.max())
         A = float(w.sum())
-        B = float((w * logk).sum())
-        C = float((w * logk * logk).sum())
-        return A, B, C
+        m = float(w @ logk) / A
+        return 2.0 * K * m - two_S, 4.0 * K * (float(w @ logk_sq) / A - m * m)
 
-    def g(p: float) -> float:
-        A, _, _ = parts(p)
-        return K * math.log(A / (4.0 * K)) - 2.0 * p * S
-
-    def dg(p: float) -> float:
-        A, B, _ = parts(p)
-        return 2.0 * K * B / A - 2.0 * S
-
-    def ddg(p: float) -> float:
-        A, B, C = parts(p)
-        return 4.0 * K * (C * A - B * B) / (A * A)
-
-    return g, dg, ddg
+    return slope
 
 
-def _golden_section(f, lo: float, hi: float, tol: float):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    iterations = 0
-    while hi - lo > tol:
-        iterations += 1
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
+def _minimize(slope, lo: float, hi: float):
+    """Minimizer of a convex criterion on [lo, hi], given p -> (g', g'').
+
+    g' is increasing: if it has one sign over the bounds the minimizer is
+    the bound it points to; otherwise Newton steps on g' converge to its
+    root, and a step leaving the sign-change bracket is replaced by the
+    bracket's midpoint.  Returns (p, g' evaluations, bracket, converged).
+    """
+    if slope(lo)[0] >= 0.0:
+        return lo, 1, (lo, hi), True
+    if slope(hi)[0] <= 0.0:
+        return hi, 2, (lo, hi), True
+    a, b = lo, hi
+    p = 0.5 * (lo + hi)
+    for evaluations in range(3, _MAX_SLOPE_EVALUATIONS + 1):
+        d, dd = slope(p)
+        if d == 0.0:
+            return p, evaluations, (a, b), True
+        if d < 0.0:
+            a = p
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi), iterations, (lo, hi)
-
-
-def _is_unimodal(values: np.ndarray) -> bool:
-    sign = np.sign(np.diff(values))
-    sign = sign[sign != 0]
-    if sign.size == 0:
-        return True
-    first_up = np.argmax(sign > 0) if np.any(sign > 0) else sign.size
-    return bool(np.all(sign[:first_up] < 0) and np.all(sign[first_up:] > 0))
+            b = p
+        p_next = p - d / dd if dd > 0.0 else math.nan
+        if not a < p_next < b:
+            p_next = 0.5 * (a + b)
+        if abs(p_next - p) <= 1e-12 * max(1.0, abs(p)):
+            return p_next, evaluations, (a, b), True
+        p = p_next
+    return p, _MAX_SLOPE_EVALUATIONS, (a, b), False
 
 
 @dataclass(frozen=True)
@@ -176,43 +181,8 @@ def fit_mle(path: GridPath, K: int | None = None,
     if not (0.5 < lo < hi):
         raise ValueError("p bounds must satisfy 1/2 < lo < hi")
     T = _harmonic_energy(h, K)
-    # optimize on unit-scale energies: g only shifts by a constant, and the
-    # minimizer becomes numerically independent of the data scale
-    scale = float(T.mean())
-    g, dg, ddg = _criterion(T / scale)
-
-    ps = np.linspace(lo, hi, COARSE_SCAN_POINTS)
-    gs = np.asarray([g(p) for p in ps])
-    if not _is_unimodal(gs):
-        ps = np.linspace(lo, hi, 16 * COARSE_SCAN_POINTS + 1)
-        gs = np.asarray([g(p) for p in ps])
-    i0 = int(np.argmin(gs))
-
-    flag = "interior"
-    iterations = 0
-    if i0 == 0 or i0 == ps.size - 1:
-        edge = ps[i0]
-        inner = ps[i0 - 1] if i0 else ps[1]
-        p_hat, iterations, bracket = _golden_section(
-            g, min(edge, inner), max(edge, inner), P_TOLERANCE)
-        if abs(p_hat - edge) <= 2.0 * P_TOLERANCE:
-            p_hat = edge
-            flag = "boundary"
-    else:
-        p_hat, iterations, bracket = _golden_section(
-            g, ps[i0 - 1], ps[i0 + 1], P_TOLERANCE)
-    if flag == "interior":
-        # Newton on g' from the golden bracket; quadratic and safe, g is convex
-        for _ in range(12):
-            step = dg(p_hat) / ddg(p_hat)
-            p_next = min(max(p_hat - step, lo), hi)
-            iterations += 1
-            done = abs(p_next - p_hat) <= 1e-12 * max(1.0, abs(p_hat))
-            p_hat = p_next
-            if done:
-                break
-        if p_hat in (lo, hi):
-            flag = "boundary"
+    p_hat, iterations, bracket, converged = _minimize(_slope(T), lo, hi)
+    flag = "interior" if lo < p_hat < hi else "boundary"
 
     a_sq = profile_amplitude(h, p_hat, K)
     k = np.arange(1, K + 1, dtype=float)
@@ -223,7 +193,7 @@ def fit_mle(path: GridPath, K: int | None = None,
         p_hat=float(p_hat),
         neg_log_likelihood=nll,
         K_used=K,
-        convergence=Convergence(True, iterations, tuple(float(b) for b in bracket), flag),
+        convergence=Convergence(converged, iterations, tuple(float(b) for b in bracket), flag),
         path_mean=h.mean,
     )
 
@@ -246,25 +216,42 @@ class GoodnessReport:
     K_used: int
 
 
-def harmonic_residuals(path: GridPath, result: FitResult) -> np.ndarray:
-    """Standardized residuals r_k = (sin_k^2 + cos_k^2) k^(2p) / (4 a^2), Exp(1) under the model."""
-    h = dft.analyze(path)
+def standardized_residuals(h: dft.HarmonicDecomposition, result: FitResult) -> np.ndarray:
+    """Residuals r_k = (sin_k^2 + cos_k^2) k^(2p) / (4 a^2), Exp(1) under the fitted model."""
     T = _harmonic_energy(h, result.K_used)
     k = np.arange(1, result.K_used + 1, dtype=float)
     return T * k ** (2.0 * result.p_hat) / (4.0 * result.a_hat ** 2)
 
 
-def goodness_of_fit(path: GridPath, result: FitResult) -> GoodnessReport:
-    r = harmonic_residuals(path, result)
+def harmonic_residuals(path: GridPath, result: FitResult) -> np.ndarray:
+    """standardized_residuals of the path's harmonics."""
+    return standardized_residuals(dft.analyze(path), result)
+
+
+def residual_report(r: np.ndarray) -> GoodnessReport:
+    """Dispersion and one-sample two-sided KS test of residuals against Exp(1).
+
+    The KS statistic and its exact p-value are those of
+    scipy.stats.kstest(r, "expon"), computed without its argument handling.
+    """
+    from scipy.stats import kstwo  # lazy: scipy.stats is most of the CLI's import time
+
+    n = r.size
     mean = float(r.mean())
     dispersion = float(r.var(ddof=1)) / mean ** 2
-    ks = kstest(r, "expon")
+    cdf = -expm1(-np.sort(r))
+    D = float(max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n)))
     return GoodnessReport(
         residual_mean=mean,
         dispersion=dispersion,
-        ks_statistic=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
+        ks_statistic=D,
+        ks_pvalue=float(np.clip(kstwo.sf(D, n), 0.0, 1.0)),
         flagged=dispersion > DISPERSION_THRESHOLD,
         threshold=DISPERSION_THRESHOLD,
-        K_used=result.K_used,
+        K_used=n,
     )
+
+
+def goodness_of_fit(path: GridPath, result: FitResult) -> GoodnessReport:
+    """residual_report of the path's harmonic residuals under the fit."""
+    return residual_report(harmonic_residuals(path, result))

@@ -234,7 +234,7 @@ GOLDEN_DIGESTS = {
     "coef.csv": "c68ac3c55bb28e9d1685100fca5354c5d007be91723b767904bd1f77c41c3b90",
     "coef.meta.json": "7e5ed086ccaaa3850c71dbf798df360434715fe8ce4db535b31729a039a066c6",
     "cout.json": "af8d3d5d0a7ae7cf79e1f643c114537f67e5676e5ef31fbdc87802d16b053830",
-    "fit.json": "f421cf695a26cdc966bc0c8597085ad58b14f86abc7442d4f86c0862b01550ec",
+    "fit.json": "1e69c944393bcb277690d869d6a00481a584315cd8f876163cf3f413e077acd5",
     "fit.residuals.csv": "289251f8a408532c7c15ad5ebeef02782a2dacc3807aada253fc5c2b65436daa",
     "gout.csv": "ede3e3fdffa484682110573986c3ab975f4f06088d8d7a4e8a4e9c62ea736d24",
     "gout.csv.check.json": "6b0ffea04504adbf1cfdac6709b897398d54cbb585556c87e5644967c68b760d",

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from periodicgp import bridge, spectral
+import periodicgp
+from periodicgp import bridge, dft, spectral
 from periodicgp.cli import main
 from periodicgp.core import (
     PathEnsemble,
@@ -134,6 +139,16 @@ class TestTransform:
         assert "asymmetric" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("tail", [{"q": 2}, 3])
+    def test_malformed_tail_is_a_usage_error(self, tmp_path, capsys, tail):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"c0": 1.0, "c": [0.5], "tail": tail}))
+        rc = run("transform", "--direction", "c2g", "--in", cfile,
+                 "--grid", 64, "--out", tmp_path / "g.csv")
+        assert rc == 2
+        assert "malformed coefficient file" in capsys.readouterr().err
+
+
 class TestFitCommand:
     def test_fit_recovers_its_own_simulation(self, tmp_path):
         sim = tmp_path / "sim"
@@ -147,6 +162,17 @@ class TestFitCommand:
         lines = (tmp_path / "fit.residuals.csv").read_text().splitlines()
         assert lines[0] == "k,sin,cos,residual"
         assert len(lines) == 1 + rep["fit"]["K_used"]
+
+    def test_path_is_analyzed_twice(self, tmp_path, monkeypatch):
+        # once inside fit_mle, once for the residuals and the CSV columns
+        sim = tmp_path / "sim"
+        assert run("simulate", "--model", "param", "--a", 1, "--p", 1.5,
+                   "--n", 256, "--paths", 1, "--seed", 7, "--out", sim) == 0
+        calls = []
+        analyze = dft.analyze
+        monkeypatch.setattr(dft, "analyze", lambda path: calls.append(1) or analyze(path))
+        assert run("fit", "--in", sim.with_suffix(".csv"), "--out", tmp_path / "fit") == 0
+        assert len(calls) == 2
 
     def test_constant_path_reports_degenerate_data(self, tmp_path, capsys):
         f = tmp_path / "const.csv"
@@ -252,6 +278,15 @@ class TestSweep:
                  "--seed", 0, "--out", tmp_path / "x")
         assert rc == 2
         assert "comma-separated" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the CLI's start-up time; only the fit diagnostics need it
+    src = Path(periodicgp.__file__).resolve().parents[1]
+    code = "import sys, periodicgp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_error_exits_two():

@@ -1,9 +1,11 @@
 """Profile-likelihood estimation of the power-law family and its diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from periodicgp import bridge, dft, fit, synthesis
 from periodicgp.core import (
@@ -91,6 +93,43 @@ class TestFitMle:
         assert res.p_hat == pytest.approx(6.0)
         assert res.convergence.flag == "boundary"
 
+    def test_top_tone_pins_at_lower_bound(self):
+        # all energy at k = K: g' > 0 at the lower bound, one evaluation decides
+        t = np.arange(1024) / 1024
+        res = fit_mle(GridPath(1024, np.sin(2 * np.pi * 8 * t)), K=8)
+        assert res.p_hat == 0.55
+        assert res.convergence.flag == "boundary"
+        assert res.convergence.iterations == 1
+        assert res.convergence.bracket == (0.55, 6.0)
+
+    # p_hat of criterion 8's paths (seed, p_hat), from the scan / golden-section
+    # / Newton solver this one replaced
+    @pytest.mark.parametrize("seed, p_hat", [
+        (0, 1.460361360277031),
+        (1, 1.4714090940379736),
+        (17, 1.5362390992602148),
+        (100, 1.481629658430418),
+        (199, 1.5134623907726306),
+    ])
+    def test_pinned_criterion_8_estimates(self, seed, p_hat):
+        m = model_coefficients(ParametricModel(1.0, 1.5), 511)
+        path = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(seed, 0))
+        res = fit_mle(path, K=256)
+        assert res.p_hat == pytest.approx(p_hat, abs=1e-10)
+        assert res.convergence.converged
+        assert res.convergence.flag == "interior"
+        lo, hi = res.convergence.bracket
+        assert 0.55 <= lo <= res.p_hat <= hi <= 6.0
+
+    def test_wide_bounds_do_not_overflow(self):
+        m = model_coefficients(ParametricModel(1.0, 1.5), 511)
+        path = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            wide = fit_mle(path, K=256, p_bounds=(0.55, 200.0))
+        assert wide.p_hat == pytest.approx(fit_mle(path, K=256).p_hat, abs=1e-10)
+        assert wide.convergence.flag == "interior"
+
     def test_constant_path_is_degenerate(self):
         with pytest.raises(DegenerateDataError, match="degenerate observation"):
             fit_mle(GridPath(256, np.full(256, 4.0)))
@@ -161,3 +200,16 @@ class TestGoodnessOfFit:
         rep = goodness_of_fit(path, res)
         assert rep.dispersion < DISPERSION_THRESHOLD
         assert not rep.flagged
+
+    @pytest.mark.parametrize("variant, K", [("series", None), ("plain", None), ("plain", 400)])
+    def test_ks_fields_equal_scipy_kstest(self, variant, K):
+        if variant == "series":
+            m = model_coefficients(ParametricModel(1.0, 1.5), 511)
+            path = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(3, 0))
+        else:
+            path = bridge.bridge_path("plain", 1024, rng=synthesis.RngStream(0, 0))
+        res = fit_mle(path, K=K)
+        rep = goodness_of_fit(path, res)
+        ks = kstest(harmonic_residuals(path, res), "expon")
+        assert rep.ks_statistic == ks.statistic
+        assert rep.ks_pvalue == ks.pvalue
