@@ -74,9 +74,9 @@ def _sine_rows(variant: str, n: int, M: int | None, streams) -> np.ndarray:
     """Sine-series bridge rows on j/n, one per stream, through one transform.
 
     Each stream draws the centered_shift offset first, then its W block.
-    sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n.
-    centered_shift rotates each row by its offset and centralized subtracts
-    each row's grid mean; plain rows keep both ends pinned at zero.
+    sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n: Im F_k
+    of its half spectrum is set to -n sqrt2 W_k / (k pi).  centered_shift rotates
+    rows by their offsets (two slice copies), centralized subtracts row means.
     """
     M = resolve_truncation(variant, n, M)
     if M < 0 or M >= n:
@@ -86,13 +86,16 @@ def _sine_rows(variant: str, n: int, M: int | None, streams) -> np.ndarray:
     for i, gen in enumerate(generators(streams)):
         if variant == "centered_shift":
             shifts[i] = gen.integers(n)
-        w[i] = gen.standard_normal(M)
-    amp = SQRT2 * w / (np.arange(1, M + 1) * np.pi)
-    values = np.fft.irfft(dft.spectrum(2 * n, 0.0, amp, 0.0), 2 * n, axis=1)[:, :n]
+        gen.standard_normal(out=w[i])
+    F = np.zeros((len(streams), n + 1), dtype=complex)
+    F.imag[:, 1:M + 1] = -n * (SQRT2 * w / (np.arange(1, M + 1) * np.pi))
+    values = np.fft.irfft(F, 2 * n, axis=1)[:, :n]
     values[:, 0] = 0.0  # sin(0) = 0; pin the fixed end against transform rounding
     if variant == "centered_shift":
-        rows = np.arange(len(streams))[:, None]
-        return values[rows, (np.arange(n) - shifts[:, None]) % n]
+        rows = np.empty_like(values)
+        for row, x, s in zip(rows, values, shifts):
+            row[s:], row[:s] = x[:n - s], x[n - s:]
+        return rows
     if variant == "centralized":
         return values - values.mean(axis=1, keepdims=True)
     return values

@@ -43,13 +43,16 @@ def _resolve_seed(seed) -> int:
 
 def _auto_truncation(coeffs, n: int, eps, trunc) -> int:
     """Explicit --trunc wins (and may alias, loudly); --eps asks for the minimal
-    truncation meeting that tail budget; otherwise fill the band below Nyquist
-    so downstream harmonic fits see every frequency they inspect."""
+    truncation meeting that tail budget, which must fit below Nyquist; otherwise
+    fill that band so downstream harmonic fits see every frequency they inspect."""
     if trunc is not None:
         return int(trunc)
     cap = n // 2 - 1
     if eps is not None:
-        return min(synthesis.truncation_index(coeffs, eps), cap)
+        K = synthesis.truncation_index(coeffs, eps)
+        if K > cap:
+            raise AliasingError(f"--eps {eps:g} needs truncation K={K}; n={n} holds K <= {cap}")
+        return K
     if coeffs.declared_tail is None:
         return min(coeffs.support, cap)
     return cap

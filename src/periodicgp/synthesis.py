@@ -7,8 +7,11 @@ A path consumes one block of 1 + 2K standard normals laid out as
     Y'0, Y_1, Y'_1, Y_2, Y'_2, ...
 
 so that two runs with the same stream but different truncations share the
-draws of every common harmonic.  Replicate r of an ensemble always uses
-stream r; adding replicates never disturbs earlier ones.
+draws of every common harmonic.  The block is drawn straight into the float
+view of the half spectrum F, from Im F_0 on (Y_k, Y'_k land in Re F_k, Im F_k),
+and scaled there in place.  Replicate r of an ensemble always uses stream r;
+adding replicates never disturbs earlier ones, and the chunk size bounds
+memory and never changes a sample.
 """
 
 from __future__ import annotations
@@ -99,8 +102,8 @@ def truncation_index(c: SpectralCoefficients, eps: float = DEFAULT_EPS) -> int:
 def _series_rows(c: SpectralCoefficients, K: int, n: int, streams) -> np.ndarray:
     """Rows of the series truncated at harmonic K on j/n, one per stream.
 
-    Each stream supplies its own 1 + 2K block; the stacked draws go through
-    one inverse transform, so a row does not depend on its neighbours.
+    Each stream draws its own 1 + 2K block into its row of the half spectrum,
+    and one inverse transform runs over the rows, so no row sees its neighbours.
     """
     if not is_power_of_two(n) or n < 4:
         raise ValueError("grid size must be a power of two, n >= 4")
@@ -108,11 +111,12 @@ def _series_rows(c: SpectralCoefficients, K: int, n: int, streams) -> np.ndarray
         raise ValueError("truncation must be nonnegative")
     if K >= n // 2:
         raise AliasingError(f"truncation K={K} aliases on a grid of size {n}")
-    draws = np.empty((len(streams), 1 + 2 * K))
+    F = np.zeros((len(streams), n // 2 + 1), dtype=complex)
+    flat = F.view(float)
     for i, gen in enumerate(generators(streams)):
-        draws[i] = gen.standard_normal(1 + 2 * K)
-    amp = SQRT2 * c.materialize(K)
-    F = dft.spectrum(n, c.c0 * draws[:, 0], amp * draws[:, 1::2], amp * draws[:, 2::2])
+        gen.standard_normal(out=flat[i, 1:2 + 2 * K])
+    F[:, 0] = n * (c.c0 * F[:, 0].imag)
+    F[:, 1:K + 1] *= -0.5j * n * (SQRT2 * c.materialize(K))  # n (c_k Y'_k - i c_k Y_k) / sqrt2
     return np.fft.irfft(F, n, axis=1)
 
 
@@ -150,8 +154,7 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     out = np.empty((R, d.size))
     for lo, hi in dft.row_chunks(R, n):
         F = np.fft.rfft(v[lo:hi], axis=1)
-        ac = np.fft.irfft(F * F.conj(), n, axis=1) / n
-        out[lo:hi] = ac[:, d]
+        out[lo:hi] = np.fft.irfft(F * F.conj(), n, axis=1)[:, d] / n
     return out
 
 

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import periodicgp
-from periodicgp import bridge, dft, spectral
+from periodicgp import bridge, dft, fit, spectral, synthesis
 from periodicgp.cli import main
 from periodicgp.core import (
+    ParametricModel,
     PathEnsemble,
     SpectralCoefficients,
     read_paths_csv,
@@ -278,6 +279,39 @@ class TestSweep:
                  "--seed", 0, "--out", tmp_path / "x")
         assert rc == 2
         assert "comma-separated" in capsys.readouterr().err
+
+
+class TestEpsBudget:
+    # relative tail energy of a/k^p beyond K is ~K^(1-2p), so p = 0.6 needs a
+    # K far beyond n/2 - 1 for eps = 1e-4 while p = 3 meets it at K = 5
+    COMMANDS = {
+        "simulate": ("simulate", "--model", "param", "--a", 1, "--p", "{p}"),
+        "sweep": ("sweep", "--p-list", "3,{p}", "--a", 1),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unmet_budget_is_an_aliasing_error(self, command, tmp_path, capsys):
+        out = tmp_path / "x"
+        argv = [str(a).format(p=0.6) for a in self.COMMANDS[command]]
+        rc = run(*argv, "--n", 64, "--eps", 1e-4, "--seed", 0, "--out", out)
+        assert rc == 3
+        need = synthesis.truncation_index(
+            fit.model_coefficients(ParametricModel(1.0, 0.6), 1), 1e-4)
+        assert need > 31
+        err = capsys.readouterr().err
+        assert f"K={need}" in err and "n=64" in err
+        assert not out.with_suffix(".csv").exists()
+        assert not out.with_suffix(".meta.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_met_budget_records_its_truncation(self, command, tmp_path):
+        out = tmp_path / "x"
+        argv = [str(a).format(p=3) for a in self.COMMANDS[command]]
+        assert run(*argv, "--n", 64, "--eps", 1e-4, "--seed", 0, "--out", out) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        assert meta["eps"] == 1e-4
+        assert meta["truncation"] == synthesis.truncation_index(
+            fit.model_coefficients(ParametricModel(1.0, 3.0), 1), 1e-4) == 5
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

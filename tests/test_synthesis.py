@@ -1,12 +1,13 @@
 """Random-series synthesis: truncation choice, paths, ensembles, estimators."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from periodicgp import bridge, dft, synthesis
+from periodicgp import bridge, dft, regularity, synthesis
 from periodicgp.core import (
     AliasingError,
     DegenerateDataError,
@@ -211,3 +212,132 @@ class TestEmpiricalCovariogram:
         e = PathEnsemble(8, np.zeros((1, 8)), 0)
         est = empirical_covariogram(e, [0, 4])
         assert np.allclose(est.delta, [0.0, 0.5])
+
+
+
+class TestReferenceLayout:
+    """Rows filled in the transform buffer equal irfft of dft.spectrum, bit for bit."""
+
+    N = 64
+    STREAMS = [RngStream(2 ** 63 + 11, r) for r in range(3)]
+
+    @pytest.mark.parametrize("K", [0, 1, N // 2 - 1])
+    def test_series_rows(self, K):
+        c = SpectralCoefficients(c0=0.8, c=tuple(1.0 / np.arange(1, K + 1) ** 1.6))
+        draws = np.array([s.generator().standard_normal(1 + 2 * K) for s in self.STREAMS])
+        amp = math.sqrt(2.0) * c.materialize(K)
+        F = dft.spectrum(self.N, c.c0 * draws[:, 0], amp * draws[:, 1::2],
+                         amp * draws[:, 2::2])
+        want = np.fft.irfft(F, self.N, axis=1)
+        assert synthesis._series_rows(c, K, self.N, self.STREAMS).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant", ["plain", "centered_shift", "centralized"])
+    @pytest.mark.parametrize("M", [0, 1, N - 1])
+    def test_sine_rows(self, variant, M):
+        n = self.N
+        shifts, w = [], np.empty((len(self.STREAMS), M))
+        for i, s in enumerate(self.STREAMS):
+            gen = s.generator()  # the shift comes first, then the W block
+            shifts.append(int(gen.integers(n)) if variant == "centered_shift" else 0)
+            w[i] = gen.standard_normal(M)
+        amp = math.sqrt(2.0) * w / (np.arange(1, M + 1) * np.pi)
+        want = np.fft.irfft(dft.spectrum(2 * n, 0.0, amp, 0.0), 2 * n, axis=1)[:, :n]
+        want[:, 0] = 0.0
+        want = np.array([np.roll(x, shift) for x, shift in zip(want, shifts)])
+        if variant == "centralized":
+            want = want - want.mean(axis=1, keepdims=True)
+        assert bridge._sine_rows(variant, n, M, self.STREAMS).tobytes() == want.tobytes()
+
+# SHA-256 of in-memory outputs at the benchmark's sizes: n = 4096 series
+# ensembles of R = 250 and n = 1024 bridge ensembles of R = 2000, both
+# spanning several row chunks.  Each case pins the rows, the covariogram
+# estimate at dyadic lags and the Holder estimate computed from them.
+SERIES_N, SERIES_R, BRIDGE_N, BRIDGE_R = 4096, 250, 1024, 2000
+
+PINNED_ENSEMBLE_DIGESTS = {
+    "series:2047": {
+        "rows": "668f65953143ee71133b26c4f3b8d107ce24b9c5b82887447b0dfe2b4973c46c",
+        "covariogram": "94810e2fba128ccaed800d513598a9691995bcb7fa1f3f5217eb208c193835ea",
+        "holder": "2b5aab6bff00dfc561e621c00fdf90cf26887e9eba9e4790e3f2c12d90205a46",
+    },
+    "series:4": {
+        "rows": "d147426ab0153cc562c2786b2b7698f8820f44eea3e5c85cb1508b38872c504a",
+        "covariogram": "c7a1b9dc83d45be464ecc1d7316d8abee4429b6e3e83c29c869aa4e8d15a4c09",
+        "holder": "fbb5b70cf744334289109e8fecd9ecd2f5b21f931375e1b4056ab26a6a1dd9a3",
+    },
+    "bridge:plain@default": {
+        "rows": "ed452724f31a6e8ed6297a37ec31e11b45fccc679d92a35fcb643dd6b84bef5e",
+        "covariogram": "68feda505715706a242b928a632c5b84891274acb6008a44d5ce090daf7ff383",
+        "holder": "ee1d403c3a9f4f928fb0a8333600ca1dff03a53dc62676d1aaef9d3eb1763812",
+    },
+    "bridge:plain@16": {
+        "rows": "b2f90aafa35c5162300bf37751b654bb41cbec3f4d4f1b1505efb18ba6015938",
+        "covariogram": "1b329d5d53d101919396e7ecddc29a6bb5b1049a5cf177f6e486fc5f5e928633",
+        "holder": "cccd5902293fe6a9d832d7021d6bd76050aa579d04af58da1bf09bcea3c045b5",
+    },
+    "bridge:centered_shift@default": {
+        "rows": "b53033ee59166de9e977f839121db4fd3a51519bc55aec3583eabea30f94c9eb",
+        "covariogram": "16cbb94533f6158fa8d1824f233cf8c378021b37546ea995a60f6be760621c7a",
+        "holder": "2dabc36accd8a8612267e4e1ff86bf058d24dfb0b9631ec20404c5af6c99ee08",
+    },
+    "bridge:centered_shift@16": {
+        "rows": "4a8ccaec4d1d5f50e90513d6e2954d85d99eb8e6f8f838efa5195f83210e2531",
+        "covariogram": "cca5642896f25bd850a24b9dedc622a2c900e6eb92bf16d51e2bac4995670533",
+        "holder": "888682ce3560875989e2940fa0f3f4572df2f751e66e30a07b1a6e9ad336a17b",
+    },
+    "bridge:centralized@default": {
+        "rows": "af29021bc54c597502b1c35f7f156be299abc05cbd999d706ebac1acc0f22f52",
+        "covariogram": "28c7909a5f9d9e0a712f566b64db643097b56d434f53a5e991ffeb1a89b181bd",
+        "holder": "ee8f02f537f47ceb09db6cce0c825b1b9b8ef022b78256ae93b5830632aa0ba2",
+    },
+    "bridge:centralized@16": {
+        "rows": "3808e41fc1dd8f80aacdd6febf49730cdfffdbce4fa5e6d09de6a846a10aa3e5",
+        "covariogram": "da9a0c2d0a8dd92b55fe0fa70ce3816f5a9b18e0b4bb7601c68cb01bf0ac993c",
+        "holder": "d2f918b96af0811a0c30cd068ba394abe786f56f234f734eed6d55d46574d876",
+    },
+    "bridge:centered_series@default": {
+        "rows": "02ded1c9559cf94c17165dd0fef4e28305cddd62d905fe60921ea536d3daf252",
+        "covariogram": "622cb57551b64662fbaf7b5022ec1c676880754c55d3ee1a5ecde01603e64afb",
+        "holder": "7f6dee1b4d8f5acaf9f7fa91ca27fb43349e0588acbf8982f97adf0a45623557",
+    },
+    "bridge:centered_series@16": {
+        "rows": "844dc472e558b00149bc9ca37e812bc77f71d393cb3b3695c09f4e1d614326a7",
+        "covariogram": "212d41c96f3a9313f97662cad1ded42f1f55ca262c1d8cb92e62a762116415a1",
+        "holder": "abc6ebd89694123e22ac2523fd4bb310a2ed224957e12c860b596de244f98bd8",
+    },
+}
+
+
+def _pinned_case_ensemble(case: str):
+    family, rest = case.split(":")
+    if family == "series":
+        K = int(rest)
+        c = 1.0 / np.arange(1, K + 1) ** 1.6
+        c[K // 3] = 0.0  # one zero coefficient
+        coeffs = SpectralCoefficients(c0=0.8, c=tuple(c))
+        return sample_ensemble(coeffs, K, SERIES_N, SERIES_R, 2718)
+    variant, M = rest.split("@")
+    return bridge.bridge_ensemble(variant, BRIDGE_R, BRIDGE_N, 31415,
+                                  M=None if M == "default" else int(M))
+
+
+def _sha(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", [
+    f"series:{SERIES_N // 2 - 1}", "series:4",
+    *(f"bridge:{v}@{M}" for v in bridge.VARIANTS for M in ("default", "16")),
+])
+def test_benchmark_size_digests(case):
+    e = _pinned_case_ensemble(case)
+    lags = [0] + [2 ** i for i in range(int(math.log2(e.n)))]
+    est = empirical_covariogram(e, lags)
+    holder = regularity.estimate_holder(e)
+    got = {"rows": _sha(e.values),
+           "covariogram": _sha(est.value, est.stderr),
+           "holder": _sha([holder.exponent, holder.stderr, holder.raw_slope])}
+    assert got == PINNED_ENSEMBLE_DIGESTS[case]
