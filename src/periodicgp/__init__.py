@@ -19,7 +19,7 @@ from .core import (
     h_norm,
     validate_coefficients,
 )
-from .dft import HarmonicDecomposition, analyze, cosine_quadrature, synthesize
+from .dft import HarmonicDecomposition, analyze, synthesize
 from .synthesis import (
     RngStream,
     empirical_covariogram,
@@ -67,7 +67,6 @@ __all__ = [
     "centered_bridge_shift",
     "centralized_bridge_path",
     "coeffs_to_covariogram",
-    "cosine_quadrature",
     "covariogram_to_coeffs",
     "decomposition_check",
     "empirical_coeffs",

@@ -31,14 +31,14 @@ import numpy as np
 from . import dft
 from .core import Covariogram, GridPath, PathEnsemble, SpectralCoefficients, TailDecay
 from .synthesis import (
+    SQRT2,
     RngStream,
     generators,
     replicate_lag_products,
+    replicate_mean,
     sample_ensemble,
     sample_path,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 VARIANTS = ("plain", "centered_shift", "centralized", "centered_series")
 
@@ -58,7 +58,7 @@ def centered_bridge_coefficients(support: int = DEFAULT_COEFF_SUPPORT) -> Spectr
     k = np.arange(1, support + 1, dtype=float)
     return SpectralCoefficients(
         c0=1.0 / math.sqrt(12.0),
-        c=tuple(1.0 / (2.0 * math.pi * k)),
+        c=1.0 / (2.0 * math.pi * k),
         declared_tail=TailDecay(q=2.0, const=1.0 / (4.0 * math.pi ** 2)),
     )
 
@@ -78,6 +78,8 @@ def _sine_rows(variant: str, n: int, M: int | None, streams) -> np.ndarray:
     of its half spectrum is set to -n sqrt2 W_k / (k pi).  centered_shift rotates
     rows by their offsets (two slice copies), centralized subtracts row means.
     """
+    if n < 4:
+        raise ValueError("grid size must be a power of two, n >= 4")
     M = resolve_truncation(variant, n, M)
     if M < 0 or M >= n:
         raise ValueError("sine truncation must satisfy 0 <= M < n")
@@ -200,18 +202,17 @@ def decomposition_check(R: int, n: int, M: int | None = None,
     """
     if R < 2:
         raise ValueError("decomposition check needs R >= 2 replicates for a variance")
+    if n < 16:
+        raise ValueError("decomposition check needs n >= 16 for 8 distinct lags")
     e = bridge_ensemble("centered_shift", R, n, master_seed, M=M)
     z = e.values.mean(axis=1)
     resid = e.values - z[:, None]
 
     z_sq = z ** 2  # E[Z] = 0 by stationarity, so mean(Z^2) estimates the variance
-    var_z = float(z_sq.mean())
-    var_z_se = float(np.std(z_sq, ddof=1)) / math.sqrt(R)
+    var_z, var_z_se = map(float, replicate_mean(z_sq))
 
     lags = tuple(int(n * j / 16) for j in range(1, 9))
-    per = replicate_lag_products(resid, np.asarray(lags))
-    cov = per.mean(axis=0)
-    cov_se = per.std(axis=0, ddof=1) / math.sqrt(R)
+    cov, cov_se = replicate_mean(replicate_lag_products(resid, np.asarray(lags)))
     target = centralized_bridge_covariogram().at(np.asarray(lags) / n)
 
     gridpoints = tuple(int(n * j / 8) for j in range(8))

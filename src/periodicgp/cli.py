@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -140,29 +141,7 @@ def cmd_fit(args) -> None:
     h = dft.analyze(path)
     residuals = fit.standardized_residuals(h, result)
     report = fit.residual_report(residuals)
-    write_json({
-        "fit": {
-            "a_hat": result.a_hat,
-            "p_hat": result.p_hat,
-            "neg_log_likelihood": result.neg_log_likelihood,
-            "K_used": result.K_used,
-            "path_mean": result.path_mean,
-            "convergence": {
-                "converged": result.convergence.converged,
-                "iterations": result.convergence.iterations,
-                "bracket": list(result.convergence.bracket),
-                "flag": result.convergence.flag,
-            },
-        },
-        "goodness": {
-            "residual_mean": report.residual_mean,
-            "dispersion": report.dispersion,
-            "ks_statistic": report.ks_statistic,
-            "ks_pvalue": report.ks_pvalue,
-            "flagged": report.flagged,
-            "threshold": report.threshold,
-        },
-    }, f"{args.out}.json")
+    write_json({"fit": asdict(result), "goodness": asdict(report)}, f"{args.out}.json")
     K = result.K_used
     write_table_csv("k,sin,cos,residual",
                     [np.arange(1.0, K + 1), h.sin_coef[:K], h.cos_coef[:K], residuals],
@@ -181,9 +160,7 @@ def cmd_regularity(args) -> None:
         decay = regularity.fit_decay(c, k_min=args.k_min, k_max=k_max)
         report = regularity.predict_regularity(decay.q)
         write_json({
-            "q": report.q,
-            "m": report.m,
-            "holder_bound": report.holder_bound,
+            **asdict(report),
             "diagnostics": {
                 "k_min": args.k_min,
                 "k_max": k_max,
@@ -221,23 +198,7 @@ def cmd_bridge_check(args) -> None:
             "pass": ok,
         })
     payload = {
-        "decomposition": {
-            "R": rep.R,
-            "n": rep.n,
-            "var_z": rep.var_z,
-            "var_z_stderr": rep.var_z_stderr,
-            "var_z_target": rep.var_z_target,
-            "lags": list(rep.lags),
-            "residual_cov": list(rep.residual_cov),
-            "residual_cov_stderr": list(rep.residual_cov_stderr),
-            "residual_cov_target": list(rep.residual_cov_target),
-            "gridpoints": list(rep.gridpoints),
-            "correlation": list(rep.correlation),
-            "correlation_stderr": rep.correlation_stderr,
-            "var_ok": rep.var_ok,
-            "cov_ok": rep.cov_ok,
-            "corr_ok": rep.corr_ok,
-        },
+        "decomposition": asdict(rep),
         "identity": identity,
         "passed": rep.passed and identity_ok,
     }
@@ -257,15 +218,8 @@ def cmd_sweep(args) -> None:
     if not p_list:
         raise ValueError("--p-list is empty")
     n = args.n
-    if args.trunc is not None:
-        K = int(args.trunc)
-    elif args.eps is None:
-        K = n // 2 - 1
-    else:
-        K = 0
-        for p in p_list:
-            probe = fit.model_coefficients(ParametricModel(args.a, p), 1)
-            K = max(K, _auto_truncation(probe, n, args.eps, None))
+    K = max(_auto_truncation(fit.model_coefficients(ParametricModel(args.a, p), 1),
+                             n, args.eps, args.trunc) for p in p_list)
     # one shared draw block: every column sees the same (Y, Y') event
     columns = []
     for p in p_list:

@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import zeta
@@ -85,41 +85,34 @@ class TailDecay:
         return math.sqrt(self.const) * np.asarray(k, dtype=float) ** (-self.q / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCoefficients:
     """The sequence (c0, c_1..c_K) identifying a process, plus an optional tail law.
 
-    Construction is strict: entries must already be finite and nonnegative.
-    Use :func:`validate_coefficients` to clean numerically noisy input first.
+    c is stored as a read-only float64 array.  Construction is strict:
+    entries must already be finite and nonnegative.  Use
+    :func:`validate_coefficients` to clean numerically noisy input first.
     """
 
     c0: float
-    c: tuple
+    c: np.ndarray
     declared_tail: TailDecay | None = None
 
     def __post_init__(self):
-        entries = np.asarray((self.c0,) + tuple(self.c), dtype=float)
-        if not np.all(np.isfinite(entries)):
+        c0, c = float(self.c0), _readonly(self.c)
+        if c.ndim != 1:
+            raise ValueError("coefficients must form a flat sequence")
+        if not (math.isfinite(c0) and np.all(np.isfinite(c))):
             raise SpectrumError("coefficients must be finite")
-        if np.any(entries < 0.0):
+        if c0 < 0.0 or np.any(c < 0.0):
             raise SpectrumError("coefficients must be nonnegative")
-        object.__setattr__(self, "c0", float(self.c0))
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c", c)
 
     @property
     def support(self) -> int:
         """Largest explicitly stored harmonic index K."""
         return len(self.c)
-
-    def coefficient(self, k: int) -> float:
-        """c_k for any k >= 1; falls back on the declared tail beyond support."""
-        if k < 1:
-            raise ValueError("harmonic index must be >= 1")
-        if k <= self.support:
-            return self.c[k - 1]
-        if self.declared_tail is not None:
-            return float(self.declared_tail.coefficient(k))
-        return 0.0
 
     def materialize(self, K: int) -> np.ndarray:
         """c_1..c_K as an array, extended by the declared tail where needed."""
@@ -158,7 +151,7 @@ def validate_coefficients(raw: Sequence[float],
     if np.any(arr < -tol):
         raise SpectrumError("negative spectral mass")
     arr = np.where(arr < 0.0, 0.0, arr)
-    return SpectralCoefficients(float(arr[0]), tuple(arr[1:]), declared_tail)
+    return SpectralCoefficients(float(arr[0]), arr[1:], declared_tail)
 
 
 def h_norm(c: SpectralCoefficients) -> float:
@@ -306,8 +299,8 @@ class ParametricModel:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError("amplitude a must be positive and finite")
+        if not (math.isfinite(self.a) and self.a > 0.0 and math.isfinite(self.a * self.a)):
+            raise ValueError("amplitude a must be positive, with a finite square")
         if not (math.isfinite(self.p) and self.p > 0.5):
             raise ValueError("p must exceed 1/2 for square-summable coefficients")
 
@@ -323,7 +316,6 @@ class RegularityReport:
     q: float
     m: int
     holder_bound: float
-    fit_diagnostics: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.m < 0:
@@ -381,7 +373,7 @@ def write_coefficients(c: SpectralCoefficients, path) -> None:
     tail = None
     if c.declared_tail is not None:
         tail = {"q": c.declared_tail.q, "const": c.declared_tail.const}
-    write_json({"c0": c.c0, "c": list(c.c), "tail": tail}, path)
+    write_json({"c0": c.c0, "c": c.c, "tail": tail}, path)
 
 
 def read_coefficients(path) -> SpectralCoefficients:
@@ -391,9 +383,9 @@ def read_coefficients(path) -> SpectralCoefficients:
         raw = [data["c0"], *data["c"]]
         tail = data.get("tail")
         decay = None if tail is None else TailDecay(q=float(tail["q"]), const=float(tail["const"]))
+        return validate_coefficients(raw, declared_tail=decay)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed coefficient file {path}: {exc}") from exc
-    return validate_coefficients(raw, declared_tail=decay)
 
 
 def write_paths_csv(values: np.ndarray, path) -> None:

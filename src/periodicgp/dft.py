@@ -11,7 +11,7 @@ exact for trigonometric polynomials of degree below n/2, with Parseval
 
     (1/n) sum x_j^2 = mean^2 + (1/2) sum_k (sin_k^2 + cos_k^2) + nyquist^2.
 
-cosine_quadrature(f, k) = (1/n) sum f_j cos(2 pi k j / n) is the rectangle
+cosine_table(f, K)[k] = (1/n) sum f_j cos(2 pi k j / n) is the rectangle
 rule for integral f(s) cos(2 pi k s) ds, spectrally accurate for smooth
 periodic f and O(n^-2) when f has a kink on a grid point.
 
@@ -40,17 +40,23 @@ class HarmonicDecomposition:
     nyquist: float
 
 
+def harmonics(F: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sin_k, cos_k) of rfft bins F of a length-n grid, in the convention above."""
+    return -2.0 * F.imag / n, 2.0 * F.real / n
+
+
 def analyze(path: GridPath) -> HarmonicDecomposition:
     """Project a grid path onto the discrete trigonometric basis."""
     n = path.n
     if not is_power_of_two(n) or n < 4:
         raise ValueError("analysis needs a power-of-two grid with n >= 4")
     F = np.fft.rfft(path.values)
+    sin_coef, cos_coef = harmonics(F[1:n // 2], n)
     return HarmonicDecomposition(
         n=n,
         mean=float(F[0].real) / n,
-        sin_coef=-2.0 * F[1:n // 2].imag / n,
-        cos_coef=2.0 * F[1:n // 2].real / n,
+        sin_coef=sin_coef,
+        cos_coef=cos_coef,
         nyquist=float(F[n // 2].real) / n,
     )
 
@@ -89,19 +95,8 @@ def synthesize(h: HarmonicDecomposition) -> GridPath:
     return GridPath(n, np.fft.irfft(spectrum(n, h.mean, sin_c, cos_c, h.nyquist), n))
 
 
-def cosine_quadrature(samples, k: int) -> float:
-    """Rectangle-rule cosine integral (1/n) sum f_j cos(2 pi k j / n)."""
-    f = np.asarray(samples, dtype=float)
-    n = f.size
-    if f.ndim != 1 or not is_power_of_two(n) or n < 4:
-        raise ValueError("quadrature needs a flat power-of-two sample grid, n >= 4")
-    if k < 0 or k >= n // 2:
-        raise AliasingError(f"harmonic {k} is aliased on a grid of size {n}")
-    return float(np.fft.rfft(f)[k].real) / n
-
-
 def cosine_table(samples, K: int) -> np.ndarray:
-    """cosine_quadrature for k = 0..K in one transform."""
+    """Rectangle-rule cosine integrals (1/n) sum f_j cos(2 pi k j / n), k = 0..K."""
     f = np.asarray(samples, dtype=float)
     n = f.size
     if f.ndim != 1 or not is_power_of_two(n) or n < 4:

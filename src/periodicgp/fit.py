@@ -64,7 +64,7 @@ def model_coefficients(model: ParametricModel, K: int) -> SpectralCoefficients:
     k = np.arange(1, K + 1, dtype=float)
     return SpectralCoefficients(
         c0=0.0,
-        c=tuple(model.a * k ** (-model.p)),
+        c=model.a * k ** (-model.p),
         declared_tail=TailDecay(q=2.0 * model.p, const=model.a ** 2),
     )
 
@@ -178,8 +178,8 @@ def fit_mle(path: GridPath, K: int | None = None,
     if K >= n // 2:
         raise AliasingError(f"K={K} aliases on a grid of size {n}")
     lo, hi = float(p_bounds[0]), float(p_bounds[1])
-    if not (0.5 < lo < hi):
-        raise ValueError("p bounds must satisfy 1/2 < lo < hi")
+    if not (0.5 < lo < hi < math.inf):
+        raise ValueError("p bounds must satisfy 1/2 < lo < hi < inf")
     T = _harmonic_energy(h, K)
     p_hat, iterations, bracket, converged = _minimize(_slope(T), lo, hi)
     flag = "interior" if lo < p_hat < hi else "boundary"
@@ -213,7 +213,6 @@ class GoodnessReport:
     ks_pvalue: float
     flagged: bool
     threshold: float
-    K_used: int
 
 
 def standardized_residuals(h: dft.HarmonicDecomposition, result: FitResult) -> np.ndarray:
@@ -221,11 +220,6 @@ def standardized_residuals(h: dft.HarmonicDecomposition, result: FitResult) -> n
     T = _harmonic_energy(h, result.K_used)
     k = np.arange(1, result.K_used + 1, dtype=float)
     return T * k ** (2.0 * result.p_hat) / (4.0 * result.a_hat ** 2)
-
-
-def harmonic_residuals(path: GridPath, result: FitResult) -> np.ndarray:
-    """standardized_residuals of the path's harmonics."""
-    return standardized_residuals(dft.analyze(path), result)
 
 
 def residual_report(r: np.ndarray) -> GoodnessReport:
@@ -248,10 +242,9 @@ def residual_report(r: np.ndarray) -> GoodnessReport:
         ks_pvalue=float(np.clip(kstwo.sf(D, n), 0.0, 1.0)),
         flagged=dispersion > DISPERSION_THRESHOLD,
         threshold=DISPERSION_THRESHOLD,
-        K_used=n,
     )
 
 
 def goodness_of_fit(path: GridPath, result: FitResult) -> GoodnessReport:
     """residual_report of the path's harmonic residuals under the fit."""
-    return residual_report(harmonic_residuals(path, result))
+    return residual_report(standardized_residuals(dft.analyze(path), result))

@@ -21,7 +21,7 @@ from .core import (
     RegularityReport,
     SpectralCoefficients,
 )
-from .synthesis import replicate_lag_products
+from .synthesis import replicate_lag_products, replicate_mean
 
 # beyond this raw structure-function slope the method saturates: the paths
 # are consistent with differentiability and the halved slope is reported as 1
@@ -61,7 +61,7 @@ def fit_decay(c: SpectralCoefficients, k_min: int = 1, k_max: int | None = None)
         raise ValueError("need 1 <= k_min < k_max <= support")
     if k_max - k_min + 1 < 4:
         raise ValueError("need at least 4 coefficients in the fit window")
-    ck = np.asarray(c.c[k_min - 1:k_max], dtype=float)
+    ck = c.c[k_min - 1:k_max]
     if np.any(ck == 0.0):
         raise DegenerateDataError("zero spectral mass in fit window")
     x = np.log(np.arange(k_min, k_max + 1, dtype=float))
@@ -88,20 +88,14 @@ class StructureFunctionTable:
 
 def structure_function(e: PathEnsemble, lags) -> StructureFunctionTable:
     """Mean squared increment S(d/n), circularly averaged over t and replicates."""
-    if e.R < 1:
-        raise DegenerateDataError("empty ensemble")
     d = np.asarray(lags, dtype=int)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("need at least one lag")
     if np.any(d < 1) or np.any(d > e.n // 2):
         raise ValueError("lags must satisfy 1 <= d <= n/2")
     per = replicate_lag_products(e.values, np.concatenate(([0], d)))
-    s = 2.0 * (per[:, :1] - per[:, 1:])
-    if e.R > 1:
-        stderr = s.std(axis=0, ddof=1) / math.sqrt(e.R)
-    else:
-        stderr = np.full(d.size, np.nan)
-    return StructureFunctionTable(e.n, tuple(int(x) for x in d), s.mean(axis=0), stderr)
+    value, stderr = replicate_mean(2.0 * (per[:, :1] - per[:, 1:]))
+    return StructureFunctionTable(e.n, tuple(int(x) for x in d), value, stderr)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from . import dft
 from .core import (
     AliasingError,
     Covariogram,
-    DegenerateDataError,
     PathEnsemble,
     SpectralCoefficients,
     SpectrumError,
@@ -27,6 +26,7 @@ from .core import (
     read_grid_csv,
     write_table_csv,
 )
+from .synthesis import replicate_mean
 
 DEFAULT_QUADRATURE_GRID = 4096
 
@@ -72,7 +72,7 @@ def covariogram_to_coeffs(g: Covariogram, K: int,
     # square root would amplify a noise-level positive into a visible c_k
     mass = np.where(np.abs(mass) < tol, 0.0, mass)
     clamped = np.sqrt(np.clip(mass, 0.0, None))
-    return SpectralCoefficients(float(clamped[0]), tuple(clamped[1:]))
+    return SpectralCoefficients(float(clamped[0]), clamped[1:])
 
 
 def coeffs_to_covariogram(c: SpectralCoefficients, n: int) -> Covariogram:
@@ -111,7 +111,7 @@ class CoefficientEstimate:
         """Point estimates as a coefficient object (negative noise clamped)."""
         return SpectralCoefficients(
             math.sqrt(max(self.c0_sq, 0.0)),
-            tuple(np.sqrt(np.clip(self.c_sq, 0.0, None))),
+            np.sqrt(np.clip(self.c_sq, 0.0, None)),
         )
 
 
@@ -124,8 +124,6 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
     Standard errors are jackknife ones, which for a plain mean reduce to
     std / sqrt(R).
     """
-    if e.R < 1:
-        raise DegenerateDataError("empty ensemble")
     if K < 0 or K >= e.n // 2:
         raise AliasingError(f"harmonic {K} is aliased on a grid of size {e.n}")
     R, n = e.R, e.n
@@ -135,21 +133,15 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
         F = np.fft.rfft(e.values[lo:hi], axis=1)
         mean_stat[lo:hi] = F[:, 0].real / n
         if K:
-            sin_c = -2.0 * F[:, 1:K + 1].imag / n
-            cos_c = 2.0 * F[:, 1:K + 1].real / n
+            sin_c, cos_c = dft.harmonics(F[:, 1:K + 1], n)
             c_stat[lo:hi] = (sin_c ** 2 + cos_c ** 2) / 4.0
-    mean_stat = mean_stat ** 2
-    if R > 1:
-        c0_se = float(np.std(mean_stat, ddof=1)) / math.sqrt(R)
-        c_se = c_stat.std(axis=0, ddof=1) / math.sqrt(R)
-    else:
-        c0_se = float("nan")
-        c_se = np.full(K, np.nan)
+    c0_sq, c0_se = replicate_mean(mean_stat ** 2)
+    c_sq, c_se = replicate_mean(c_stat)
     return CoefficientEstimate(
         R=R,
-        c0_sq=float(mean_stat.mean()),
-        c0_sq_stderr=c0_se,
-        c_sq=c_stat.mean(axis=0),
+        c0_sq=float(c0_sq),
+        c0_sq_stderr=float(c0_se),
+        c_sq=c_sq,
         c_sq_stderr=c_se,
     )
 

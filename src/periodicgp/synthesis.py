@@ -24,7 +24,6 @@ import numpy as np
 from . import dft
 from .core import (
     AliasingError,
-    DegenerateDataError,
     GridPath,
     PathEnsemble,
     SpectralCoefficients,
@@ -76,7 +75,7 @@ def truncation_index(c: SpectralCoefficients, eps: float = DEFAULT_EPS) -> int:
     if total == 0.0:
         return 0
     budget = eps * total
-    sq = np.square(np.asarray(c.c, dtype=float))
+    sq = np.square(c.c)
     beyond_support = c.declared_tail.mass_beyond(c.support) if c.declared_tail else 0.0
     # tail energy at each K <= support, largest stored harmonics summed first
     suffix = 2.0 * np.concatenate((np.cumsum(sq[::-1])[::-1], [0.0])) + beyond_support
@@ -158,6 +157,15 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     return out
 
 
+def replicate_mean(per: np.ndarray):
+    """Mean over replicates (axis 0) and its standard error std / sqrt(R), NaN when R = 1."""
+    R = per.shape[0]
+    mean = per.mean(axis=0)
+    if R == 1:
+        return mean, np.full(np.shape(mean), np.nan)
+    return mean, per.std(axis=0, ddof=1) / math.sqrt(R)
+
+
 @dataclass(frozen=True)
 class CovariogramEstimate:
     """Monte Carlo covariogram estimate at chosen grid lags, with standard errors."""
@@ -174,13 +182,6 @@ class CovariogramEstimate:
 
 def empirical_covariogram(e: PathEnsemble, lags) -> CovariogramEstimate:
     """Estimate C(d/n) by circular averaging over the grid and the replicates."""
-    if e.R < 1:
-        raise DegenerateDataError("empty ensemble")
     d = np.asarray(lags, dtype=int)
-    per = replicate_lag_products(e.values, d)
-    value = per.mean(axis=0)
-    if e.R > 1:
-        stderr = per.std(axis=0, ddof=1) / math.sqrt(e.R)
-    else:
-        stderr = np.full(d.size, np.nan)
+    value, stderr = replicate_mean(replicate_lag_products(e.values, d))
     return CovariogramEstimate(e.n, tuple(int(x) for x in d), value, stderr)

@@ -20,6 +20,7 @@ from periodicgp.core import (
     SpectralCoefficients,
     read_paths_csv,
     write_coefficients,
+    write_paths_csv,
 )
 from periodicgp.regularity import estimate_holder
 
@@ -220,6 +221,40 @@ class TestBridgeCheckCommand:
         err = capsys.readouterr().err
         assert "R >= 2" in err and "Warning" not in err
         assert not out.exists()
+
+
+class TestBadInput:
+    # each ends in exit 2 with a message: no traceback, no output file
+    CASES = {
+        "coefficient-not-a-number": (("simulate", "--model", "coeffs", "--coeffs", "{coeffs}",
+                                      "--n", 64, "--seed", 0), "malformed coefficient file"),
+        "simulate-a-squared-overflows": (("simulate", "--model", "param", "--a", 1e300,
+                                          "--p", 1.5, "--n", 64, "--seed", 0), "finite square"),
+        "sweep-a-squared-overflows": (("sweep", "--p-list", "1.5", "--a", 1e300, "--n", 64,
+                                       "--seed", 0), "finite square"),
+        "fit-p-max-inf": (("fit", "--in", "{path}", "--p-max", "inf"), "p bounds"),
+        "bridge-check-n1": (("bridge-check", "--R", 10, "--n", 1), "n >= 16"),
+        "bridge-check-n2": (("bridge-check", "--R", 10, "--n", 2), "n >= 16"),
+        "bridge-check-n4": (("bridge-check", "--R", 10, "--n", 4), "n >= 16"),
+        "bridge-check-n8": (("bridge-check", "--R", 10, "--n", 8), "n >= 16"),
+        "plain-bridge-n1": (("simulate", "--model", "bridge:plain", "--n", 1, "--seed", 0),
+                            "n >= 4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_two_with_a_message(self, case, tmp_path, capsys):
+        coeffs = tmp_path / "c.json"
+        coeffs.write_text(json.dumps({"c0": 1, "c": [{"a": 1}]}))
+        path = tmp_path / "path.csv"
+        write_paths_csv(np.sin(2 * np.pi * np.arange(64) / 64), path)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv, message = self.CASES[case]
+        argv = [str(a).format(coeffs=coeffs, path=path) for a in argv]
+        assert run(*argv, "--out", out / "x") == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and "Warning" not in err
+        assert not any(out.iterdir())
 
 
 class TestHeaderOnlyInput:

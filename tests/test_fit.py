@@ -19,9 +19,9 @@ from periodicgp.fit import (
     DISPERSION_THRESHOLD,
     fit_mle,
     goodness_of_fit,
-    harmonic_residuals,
     model_coefficients,
     profile_amplitude,
+    standardized_residuals,
 )
 
 
@@ -178,7 +178,7 @@ class TestGoodnessOfFit:
         m = model_coefficients(ParametricModel(1.0, 1.5), 511)
         path = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(5, 0))
         res = fit_mle(path)
-        r = harmonic_residuals(path, res)
+        r = standardized_residuals(dft.analyze(path), res)
         assert r.shape == (res.K_used,)
         assert r.mean() == pytest.approx(goodness_of_fit(path, res).residual_mean)
 
@@ -210,6 +210,6 @@ class TestGoodnessOfFit:
             path = bridge.bridge_path("plain", 1024, rng=synthesis.RngStream(0, 0))
         res = fit_mle(path, K=K)
         rep = goodness_of_fit(path, res)
-        ks = kstest(harmonic_residuals(path, res), "expon")
+        ks = kstest(standardized_residuals(dft.analyze(path), res), "expon")
         assert rep.ks_statistic == ks.statistic
         assert rep.ks_pvalue == ks.pvalue
