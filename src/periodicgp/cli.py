@@ -43,9 +43,11 @@ def _resolve_seed(seed) -> int:
 
 
 def _auto_truncation(coeffs, n: int, eps, trunc) -> int:
-    """Explicit --trunc wins (and may alias, loudly); --eps asks for the minimal
-    truncation meeting that tail budget, which must fit below Nyquist; otherwise
+    """At most one of --trunc (explicit, may alias, loudly) and --eps (the minimal
+    truncation meeting that tail budget, which must fit below Nyquist); with neither,
     fill that band so downstream harmonic fits see every frequency they inspect."""
+    if eps is not None and trunc is not None:
+        raise ValueError("give at most one of --eps or --trunc")
     if trunc is not None:
         return int(trunc)
     cap = n // 2 - 1

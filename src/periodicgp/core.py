@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -299,8 +300,9 @@ class ParametricModel:
     p: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a > 0.0 and math.isfinite(self.a * self.a)):
-            raise ValueError("amplitude a must be positive, with a finite square")
+        if not (self.a > 0.0 and sys.float_info.min <= self.a * self.a < math.inf):
+            raise ValueError("amplitude a must be positive, with a finite square that "
+                             "does not underflow")
         if not (math.isfinite(self.p) and self.p > 0.5):
             raise ValueError("p must exceed 1/2 for square-summable coefficients")
 

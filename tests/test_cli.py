@@ -232,6 +232,21 @@ class TestBadInput:
                                           "--p", 1.5, "--n", 64, "--seed", 0), "finite square"),
         "sweep-a-squared-overflows": (("sweep", "--p-list", "1.5", "--a", 1e300, "--n", 64,
                                        "--seed", 0), "finite square"),
+        "simulate-a-squared-underflows": (("simulate", "--model", "param", "--a", 1e-200,
+                                           "--p", 1.5, "--n", 64, "--seed", 0, "--eps", 1e-3),
+                                          "finite square"),
+        "simulate-a-squared-subnormal": (("simulate", "--model", "param", "--a", 1e-160,
+                                          "--p", 1.5, "--n", 64, "--seed", 0, "--eps", 1e-3),
+                                         "finite square"),
+        "sweep-a-squared-underflows": (("sweep", "--p-list", "1.5", "--a", 1e-200, "--n", 64,
+                                        "--seed", 0), "finite square"),
+        "sweep-a-squared-subnormal": (("sweep", "--p-list", "1.5", "--a", 1e-160, "--n", 64,
+                                       "--seed", 0, "--eps", 1e-3), "finite square"),
+        "simulate-eps-and-trunc": (("simulate", "--model", "param", "--a", 1, "--p", 1.5,
+                                    "--n", 64, "--seed", 0, "--eps", 1e-3, "--trunc", 10),
+                                   "at most one of --eps or --trunc"),
+        "sweep-eps-and-trunc": (("sweep", "--p-list", "1.5", "--a", 1, "--n", 64, "--seed", 0,
+                                 "--eps", 1e-3, "--trunc", 10), "at most one of --eps or --trunc"),
         "fit-p-max-inf": (("fit", "--in", "{path}", "--p-max", "inf"), "p bounds"),
         "bridge-check-n1": (("bridge-check", "--R", 10, "--n", 1), "n >= 16"),
         "bridge-check-n2": (("bridge-check", "--R", 10, "--n", 2), "n >= 16"),

@@ -40,6 +40,86 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(-1, 0)
 
+    @pytest.mark.parametrize("seed, stream", [
+        (1.5, 0), (1.0, 0), (np.float64(2.0), 0), (True, 0), (np.True_, 0), ("7", 0),
+        (7, 0.5), (7, False),
+    ])
+    def test_non_integral_seed_or_stream_refused(self, seed, stream):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngStream(seed, stream)
+
+    def test_integer_scalars_are_stored_as_ints(self):
+        s = RngStream(np.uint64(2 ** 64 - 1), np.int64(3))
+        assert type(s.master_seed) is int and type(s.stream_id) is int
+        assert s == RngStream(2 ** 64 - 1, 3) and s.tag == f"{2 ** 64 - 1}:3"
+        want = np.random.default_rng([2 ** 64 - 1, 3]).standard_normal(4)
+        assert np.array_equal(s.generator().standard_normal(4), want)
+
+    def test_ensembles_refuse_a_float_seed(self):
+        c = SpectralCoefficients(0.0, (1.0, 0.5))
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            sample_ensemble(c, 7, 16, 2, master_seed=1.5)
+        with pytest.raises(ValueError, match="master seed must be an integer"):
+            bridge.bridge_ensemble("plain", 2, 16, 1.5)
+
+
+class TestBatchedSeeding:
+    """Several streams of one seed are seeded in one batch, exactly as default_rng([seed, r])."""
+
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 11, 2 ** 64 - 1,
+             *np.random.default_rng(8128).integers(0, 2 ** 64, 58, dtype=np.uint64).tolist()]
+    STREAM_IDS = [0, 1, 2, 255, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40,
+                  2 ** 64 - 1, *range(1000, 1038)]
+
+    def test_states_equal_default_rng_on_thousands_of_pairs(self):
+        assert len(self.SEEDS) * len(self.STREAM_IDS) > 3000
+        for seed in self.SEEDS:
+            got = [{"state": state, "inc": inc}
+                   for state, inc in synthesis._pcg64_states(seed, self.STREAM_IDS)]
+            want = [np.random.default_rng([seed, r]).bit_generator.state["state"]
+                    for r in self.STREAM_IDS]
+            assert got == want, seed
+
+    def test_self_check_passes_and_ensembles_take_the_batch(self):
+        synthesis._seeding_self_check.cache_clear()
+        assert synthesis._seeding_self_check() is True
+        assert not isinstance(synthesis.generators([RngStream(5, r) for r in range(3)]), list)
+        # one stream, or streams of two seeds, keep default_rng per stream
+        assert isinstance(synthesis.generators([RngStream(5, 0)]), list)
+        assert isinstance(synthesis.generators([RngStream(5, 0), RngStream(6, 1)]), list)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, 2 ** 64 - 1])
+    def test_shared_generator_replays_every_stream(self, seed):
+        # each stream takes a shift (a buffered 32-bit draw) and then normals
+        streams = [RngStream(seed, r) for r in (0, 1, 2, 2 ** 32, 7)]
+        got = [(gen.integers(1024), gen.standard_normal(5).tobytes())
+               for gen in synthesis.generators(streams)]
+        want = [(gen.integers(1024), gen.standard_normal(5).tobytes())
+                for gen in (s.generator() for s in streams)]
+        assert got == want
+
+    def test_corrupted_derivation_falls_back_to_default_rng(self, monkeypatch):
+        derive, check = synthesis._pcg64_states, synthesis._seeding_self_check
+        monkeypatch.setattr(synthesis, "_pcg64_states", lambda seed, ids: [
+            (state ^ 1 << 64, inc) for state, inc in derive(seed, ids)])  # one bit per state
+        check.cache_clear()
+        try:
+            assert check() is False
+            R, n, c = 6, 64, SpectralCoefficients(0.3, (0.8, 0.4, 0.2))
+            e = sample_ensemble(c, 3, n, R, 17)
+            for r in range(R):
+                assert np.array_equal(e.values[r], sample_path(c, 3, n, RngStream(17, r)).values)
+            for variant in bridge.VARIANTS:
+                b = bridge.bridge_ensemble(variant, R, n, 19, M=8)
+                for r in range(R):
+                    alone = bridge.bridge_path(variant, n, M=8, rng=RngStream(19, r))
+                    assert np.array_equal(b.values[r], alone.values), (variant, r)
+            # unguarded, the corrupted states would have changed the rows
+            monkeypatch.setattr(synthesis, "_seeding_self_check", lambda: True)
+            assert not np.array_equal(sample_ensemble(c, 3, n, R, 17).values, e.values)
+        finally:
+            check.cache_clear()
+
 
 class TestTruncationIndex:
     def test_finite_support_needs_nothing_beyond_it(self):
@@ -252,6 +332,7 @@ class TestReferenceLayout:
 # spanning several row chunks.  Each case pins the rows, the covariogram
 # estimate at dyadic lags and the Holder estimate computed from them.
 SERIES_N, SERIES_R, BRIDGE_N, BRIDGE_R = 4096, 250, 1024, 2000
+PINNED_ON_NUMPY = "2.4.6"  # rows depend on numpy's seeding, samplers and FFT
 
 PINNED_ENSEMBLE_DIGESTS = {
     "series:2047": {
@@ -339,4 +420,5 @@ def test_benchmark_size_digests(case):
     got = {"rows": _sha(e.values),
            "covariogram": _sha(est.value, est.stderr),
            "holder": _sha([holder.exponent, holder.stderr, holder.raw_slope])}
-    assert got == PINNED_ENSEMBLE_DIGESTS[case]
+    assert got == PINNED_ENSEMBLE_DIGESTS[case], (
+        f"digests pinned on numpy {PINNED_ON_NUMPY}; this is numpy {np.__version__}")
