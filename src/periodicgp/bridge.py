@@ -204,6 +204,9 @@ def decomposition_check(R: int, n: int, M: int | None = None,
         raise ValueError("decomposition check needs R >= 2 replicates for a variance")
     if n < 16:
         raise ValueError("decomposition check needs n >= 16 for 8 distinct lags")
+    if M is not None and M < 1:
+        raise ValueError("decomposition check needs M >= 1 sine modes; "
+                         "with none every path is zero")
     e = bridge_ensemble("centered_shift", R, n, master_seed, M=M)
     z = e.values.mean(axis=1)
     resid = e.values - z[:, None]

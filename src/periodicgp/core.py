@@ -366,9 +366,13 @@ def jsonable(obj):
 
 
 def write_json(obj, path) -> None:
+    """Write strict JSON: a NaN or infinity raises ValueError before the file is opened."""
+    try:
+        text = json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"{path}: refusing to write a non-finite value as JSON") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(jsonable(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_coefficients(c: SpectralCoefficients, path) -> None:

@@ -184,10 +184,15 @@ def fit_mle(path: GridPath, K: int | None = None,
     p_hat, iterations, bracket, converged = _minimize(_slope(T), lo, hi)
     flag = "interior" if lo < p_hat < hi else "boundary"
 
-    a_sq = profile_amplitude(h, p_hat, K)
-    k = np.arange(1, K + 1, dtype=float)
-    sigma_sq = 2.0 * a_sq * k ** (-2.0 * p_hat)
-    nll = float(np.sum(T / (2.0 * sigma_sq) + np.log(sigma_sq))) + K * math.log(2.0 * math.pi)
+    with np.errstate(all="ignore"):  # a huge p_hat overflows; refused just below
+        a_sq = profile_amplitude(h, p_hat, K)
+        k = np.arange(1, K + 1, dtype=float)
+        sigma_sq = 2.0 * a_sq * k ** (-2.0 * p_hat)
+        nll = (float(np.sum(T / (2.0 * sigma_sq) + np.log(sigma_sq)))
+               + K * math.log(2.0 * math.pi))
+    if not (math.isfinite(a_sq) and math.isfinite(nll)):
+        raise ValueError(f"no finite amplitude or likelihood at p={p_hat:g}; "
+                         f"narrow the p bounds ({lo:g}, {hi:g})")
     return FitResult(
         a_hat=math.sqrt(a_sq),
         p_hat=float(p_hat),
@@ -222,14 +227,23 @@ def standardized_residuals(h: dft.HarmonicDecomposition, result: FitResult) -> n
     return T * k ** (2.0 * result.p_hat) / (4.0 * result.a_hat ** 2)
 
 
+def _ks_pvalue(D: float, n: int) -> float:
+    """P(D_n >= D) from the kernel kstwo.sf calls, without kstwo's argument handling."""
+    from scipy.stats._ksstats import _kolmogn  # lazy: most of the CLI's import time
+
+    return float(np.clip(_kolmogn(n, D, cdf=False), 0.0, 1.0))
+
+
 def residual_report(r: np.ndarray) -> GoodnessReport:
     """Dispersion and one-sample two-sided KS test of residuals against Exp(1).
 
     The KS statistic and its exact p-value are those of
     scipy.stats.kstest(r, "expon"), computed without its argument handling.
+    The p-value comes straight from scipy's exact Kolmogorov kernel (Simard &
+    L'Ecuyer, J. Stat. Softw. 39(11), 2011), the function kstwo.sf calls;
+    _kolmogn is a private scipy name, pinned bit for bit against kstwo.sf by a
+    differential test in tests/test_fit.py.
     """
-    from scipy.stats import kstwo  # lazy: scipy.stats is most of the CLI's import time
-
     n = r.size
     mean = float(r.mean())
     dispersion = float(r.var(ddof=1)) / mean ** 2
@@ -239,7 +253,7 @@ def residual_report(r: np.ndarray) -> GoodnessReport:
         residual_mean=mean,
         dispersion=dispersion,
         ks_statistic=D,
-        ks_pvalue=float(np.clip(kstwo.sf(D, n), 0.0, 1.0)),
+        ks_pvalue=_ks_pvalue(D, n),
         flagged=dispersion > DISPERSION_THRESHOLD,
         threshold=DISPERSION_THRESHOLD,
     )

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from periodicgp import bridge, fit, regularity, spectral, synthesis
 from periodicgp.cli import main as cli_main
@@ -223,9 +224,11 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
 
 # SHA-256 of every file written by criterion 9's commands, plus two short
 # truncations: a 2-harmonic coefficient file (coef) and an M = 16 bridge
-# (brg16).  Digests depend on numpy's seeding, samplers and FFT, and were pinned
-# on PINNED_ON_NUMPY; a change that moves them must re-pin them and say why.
+# (brg16).  Digests depend on numpy's seeding, samplers and FFT, fit.json's also
+# on scipy's exact KS kernel; they were pinned on PINNED_ON_NUMPY and
+# PINNED_ON_SCIPY, and a change that moves them must re-pin them and say why.
 PINNED_ON_NUMPY = "2.4.6"
+PINNED_ON_SCIPY = "1.17.1"
 GOLDEN_DIGESTS = {
     "brg.csv": "0a473bd2f5710fd2762a55fd37b94416fcb5f71cd34041ed3d6f88a2539113bd",
     "brg.meta.json": "3923ebf7fa33637275e997a3634be7826c72429fdb38ea7555775f3200c98771",
@@ -263,5 +266,6 @@ def test_golden_output_digests(tmp_path, monkeypatch):
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in root.iterdir()}
     assert digests == GOLDEN_DIGESTS, (
-        f"digests pinned on numpy {PINNED_ON_NUMPY}; this is numpy {np.__version__}")
+        f"digests pinned on numpy {PINNED_ON_NUMPY} and scipy {PINNED_ON_SCIPY}; "
+        f"this is numpy {np.__version__} and scipy {scipy.__version__}")
     print(f"\nPASS golden digests: {len(digests)} output files match")

@@ -248,6 +248,9 @@ class TestBadInput:
         "sweep-eps-and-trunc": (("sweep", "--p-list", "1.5", "--a", 1, "--n", 64, "--seed", 0,
                                  "--eps", 1e-3, "--trunc", 10), "at most one of --eps or --trunc"),
         "fit-p-max-inf": (("fit", "--in", "{path}", "--p-max", "inf"), "p bounds"),
+        "fit-p-max-1e40": (("fit", "--in", "{path}", "--p-max", 1e40), "p bounds"),
+        "fit-p-max-1e300": (("fit", "--in", "{path}", "--p-max", 1e300), "p bounds"),
+        "bridge-check-m0": (("bridge-check", "--R", 2, "--n", 16, "--M", 0), "M >= 1"),
         "bridge-check-n1": (("bridge-check", "--R", 10, "--n", 1), "n >= 16"),
         "bridge-check-n2": (("bridge-check", "--R", 10, "--n", 2), "n >= 16"),
         "bridge-check-n4": (("bridge-check", "--R", 10, "--n", 4), "n >= 16"),

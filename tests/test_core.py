@@ -332,6 +332,14 @@ class TestFileFormats:
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"a": [1.5, None], "b": 1}
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                       np.array([1.0, math.inf])])
+    def test_json_refuses_non_finite_before_opening(self, tmp_path, value):
+        f = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json({"ok": 1.0, "bad": value}, f)
+        assert not f.exists()
+
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     @settings(max_examples=100, deadline=None)
     def test_format_float_round_trips_doubles(self, x):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, kstwo
 
 from periodicgp import bridge, dft, fit, synthesis
 from periodicgp.core import (
@@ -21,6 +21,7 @@ from periodicgp.fit import (
     goodness_of_fit,
     model_coefficients,
     profile_amplitude,
+    residual_report,
     standardized_residuals,
 )
 
@@ -130,6 +131,18 @@ class TestFitMle:
         assert wide.p_hat == pytest.approx(fit_mle(path, K=256).p_hat, abs=1e-10)
         assert wide.convergence.flag == "interior"
 
+    def test_huge_upper_bound_is_refused_not_reported(self):
+        # the solve stops at its evaluation cap with p_hat ~ 1.6e10, where
+        # a^2(p) overflows; 1e30 stops at the cap too but stays finite
+        t = np.arange(64) / 64
+        tone = GridPath(64, np.sin(2 * np.pi * t))
+        for hi in (1e40, 1e300):
+            with pytest.raises(ValueError, match="p bounds"):
+                fit_mle(tone, p_bounds=(0.55, hi))
+        res = fit_mle(tone, p_bounds=(0.55, 1e30))
+        assert not res.convergence.converged
+        assert math.isfinite(res.a_hat) and math.isfinite(res.neg_log_likelihood)
+
     def test_constant_path_is_degenerate(self):
         with pytest.raises(DegenerateDataError, match="degenerate observation"):
             fit_mle(GridPath(256, np.full(256, 4.0)))
@@ -213,3 +226,56 @@ class TestGoodnessOfFit:
         ks = kstest(standardized_residuals(dft.analyze(path), res), "expon")
         assert rep.ks_statistic == ks.statistic
         assert rep.ks_pvalue == ks.pvalue
+
+
+def _around(d):
+    return [np.nextafter(d, 0.0), d, np.nextafter(d, 1.0), d * (1 - 1e-6), d * (1 + 1e-6)]
+
+
+class TestKsPvalueKernel:
+    # residual_report reads the p-value from scipy's private exact kernel
+    # (_kolmogn, Simard & L'Ecuyer 2011); these pin it, bit for bit, to the
+    # public kstwo.sf that wraps it, on every branch the kernel selects
+    N = (4, 5, 7, 16, 100, 139, 140, 141, 256, 511, 1000, 4095,
+         20000, 100000, 100001, 131071)
+
+    @staticmethod
+    def _statistics(n, rng):
+        # every threshold of the kernel where it applies, with its neighbours:
+        # t = nD at 0.5, 1 and n - 1, D = 0.5; for n <= 140 nD^2 at 0.754693
+        # and 4; above, nD^2 at 2.2, 18 and 370 and nD^1.5 = 1.4.  For n >
+        # 4095 smirnov and the Durbin matrix cost O(n) per call in scipy, so
+        # only t = 1.5 (Durbin up to n = 100000, Pelz-Good past it) reaches them
+        root = lambda c: math.sqrt(c / n)  # D with nD^2 = c
+        D = [0.0, 1.0, 1.0 / n, np.nextafter(1.0 / n, 0.0), 1.5 / n,
+             *_around(0.5 / n), *_around((n - 1.0) / n), *_around(0.5)]
+        if n <= 140:
+            D += [*_around(root(0.754693)), *_around(root(4.0))]
+        elif n <= 4095:
+            D += [*_around(root(2.2)), *_around(root(18.0)), *_around(root(370.0)),
+                  *_around((1.4 / n) ** (2.0 / 3.0))]
+        else:
+            D += [root(370.0), np.nextafter(root(370.0), 1.0), *_around(root(0.754693))]
+        nD2 = (0.01, 500.0) if n <= 4095 else (0.06, 2.2)  # the latter Pelz-Good only
+        D += list(np.sqrt(np.exp(rng.uniform(*np.log(nD2), 30)) / n))
+        D += list(rng.uniform(0.5, 1.0, 35) / n) + list(rng.uniform(0.5, 1.0, 35))
+        return [float(d) for d in D if 0.0 <= d <= 1.0]
+
+    def test_equals_kstwo_sf_on_every_branch(self):
+        rng = np.random.default_rng(8)
+        pairs = [(n, D) for n in self.N for D in self._statistics(n, rng)]
+        assert len(pairs) >= 2000
+        n, D = np.array(pairs).T
+        # one broadcast kstwo.sf call evaluates the kernel once per pair
+        expected = np.clip(kstwo.sf(D, n), 0.0, 1.0).tolist()
+        mismatched = [(k, d, want) for (k, d), want in zip(pairs, expected)
+                      if fit._ks_pvalue(d, k) != want]
+        assert not mismatched, mismatched[:10]
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 16, 139, 141, 256, 1000, 4095])
+    @pytest.mark.parametrize("scale", [1.0, 1.3, 4.0])
+    def test_residual_report_equals_kstest(self, n, scale):
+        r = scale * np.random.default_rng(n).exponential(size=n)
+        rep = residual_report(r)
+        ks = kstest(r, "expon")  # exact mode: kstwo.sf at these sizes
+        assert (rep.ks_statistic, rep.ks_pvalue) == (ks.statistic, ks.pvalue)
