@@ -114,7 +114,7 @@ def cmd_transform(args) -> None:
             back = spectral.covariogram_to_coeffs(g, K=c.support, n=args.grid)
             orig = np.concatenate(([c.c0], c.c))
             rec = np.concatenate(([back.c0], back.c))
-            residual = float(np.linalg.norm(rec - orig) / np.linalg.norm(orig))
+            residual = float(np.linalg.norm(rec - orig) / max(np.linalg.norm(orig), 1e-300))
             write_json({"round_trip_residual": residual}, f"{args.out}.check.json")
     elif args.direction == "g2c":
         g = spectral.read_covariogram_csv(args.infile)
@@ -153,18 +153,21 @@ def cmd_fit(args) -> None:
 def cmd_regularity(args) -> None:
     if (args.coeffs is None) == (args.infile is None):
         raise ValueError("give exactly one of --coeffs or --in")
+    if args.infile is not None and (args.k_min, args.k_max) != (None, None):
+        raise ValueError("--k-min and --k-max apply only to --coeffs")
     if args.coeffs is not None:
         if args.coeffs == "bridge":
             c = bridge.centered_bridge_coefficients()
         else:
             c = read_coefficients(args.coeffs)
+        k_min = args.k_min if args.k_min is not None else 1
         k_max = args.k_max if args.k_max is not None else c.support
-        decay = regularity.fit_decay(c, k_min=args.k_min, k_max=k_max)
+        decay = regularity.fit_decay(c, k_min=k_min, k_max=k_max)
         report = regularity.predict_regularity(decay.q)
         write_json({
             **asdict(report),
             "diagnostics": {
-                "k_min": args.k_min,
+                "k_min": k_min,
                 "k_max": k_max,
                 "constant": decay.constant,
                 "residual": decay.residual,
@@ -290,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--coeffs",
                     help="coefficient JSON, or the literal 'bridge' for the centered bridge")
     rg.add_argument("--in", dest="infile", help="ensemble CSV for empirical estimation")
-    rg.add_argument("--k-min", type=int, default=1)
-    rg.add_argument("--k-max", type=int)
+    rg.add_argument("--k-min", type=int, help="first harmonic fitted (--coeffs only), default 1")
+    rg.add_argument("--k-max", type=int, help="last harmonic fitted (--coeffs only), default all")
     rg.add_argument("--out", required=True, help="output JSON file")
     rg.set_defaults(func=cmd_regularity)
 

@@ -341,15 +341,99 @@ def format_float(x: float) -> str:
     return CELL_FORMAT % float(x)
 
 
+def _fixed_notation_tables():
+    """Lookup tables for CELL_FORMAT cells in fixed notation: decimal exponent X
+    (-4..16), last nonzero significant digit at index `last` (0..16).  Such a
+    cell is five NUL-padded uint64 words; with code = 17 * (X + 4) + last, word 0
+    is words[offset[code, 0] + 100 * negative + digit 0] (sign, "0." and -X - 1
+    zeros if X < 0, digit 0, "." if X == 0 and a fraction follows) and word j is
+    words[offset[code, j] + digits 4j-3..4j] ("." after digit X if it falls among
+    them), each ANDed with mask[code, j] to the digits up to max(X, last).
+    """
+    digits = np.indices((10,) * 4).reshape(4, -1).T.astype(np.uint8) + ord("0")  # "0000".."9999"
+    groups = np.zeros((5, 10 ** 4, 8), np.uint8)
+    groups[0, :, :4] = digits
+    for d in range(1, 5):
+        groups[d, :, :d], groups[d, :, d], groups[d, :, d + 1:5] = (
+            digits[:, :d], ord("."), digits[:, d:])
+    leads = [sign + ("0." + "0" * (z - 1) if z else "") + str(first) + "." * dot
+             for sign in ("", "-") for z in range(5) for dot in (0, 1) for first in range(10)]
+    leads = b"".join(c.encode().ljust(8, b"\0") for c in leads)
+    words = np.concatenate([groups.view(np.uint64).ravel(), np.frombuffer(leads, np.uint64)])
+    # each group's digits up to its last nonzero one; the last nonzero of four groups
+    siglen = np.where(digits != ord("0"), np.arange(1, 5), 0).max(axis=1)
+    lengths = np.indices((5,) * 4).reshape(4, -1).T
+    last_of = np.where(lengths > 0, lengths + np.arange(0, 16, 4), 0).max(axis=1)
+    X, last = np.arange(-4, 17)[:, None, None], np.arange(17)[None, :, None]
+    dot = last > X  # a nonzero fraction digit follows digit X
+    lead = groups.size // 8 + 10 * (2 * np.maximum(-X, 0) + (dot & (X == 0)))
+    d = X - np.arange(0, 16, 4) + 0 * last  # digits of each group word before the point
+    has_dot = (d >= 1) & (d <= 4)
+    offset = np.concatenate([lead, np.where(has_dot, d, 0) * 10 ** 4], axis=2)
+    kept = np.clip(np.maximum(last, X) - np.arange(0, 16, 4), 0, 4) + (has_dot & dot)
+    kept = np.concatenate([np.full_like(lead, 8), kept], axis=2)
+    mask = np.array([(1 << 8 * c) - 1 for c in range(9)], np.uint64)[kept]
+    return words, siglen, last_of, offset.reshape(-1, 5), mask.reshape(-1, 5)
+
+
+_POW10 = np.array([float(10 ** s) for s in range(21)])  # exact below 10**23
+_WORDS, _SIGLEN, _LAST, _OFFSET, _MASK = _fixed_notation_tables()
+
+
+def _significand(a, X):
+    """a * 10**(16 - X) rounded half-even to an int64, exactly (Dekker's product)."""
+    b = _POW10[16 - X]
+    p = a * b
+    c, d = 134217729.0 * a, 134217729.0 * b  # split each factor into 26-bit halves
+    ah, bh = c - (c - a), d - (d - b)
+    al, bl = a - ah, b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # a * b == p + e
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)  # p is even and >= 2**53
+
+
+def _format_cells(block, ncols: int) -> bytes:
+    """format_float of row-major cells, ',' between cells and '\\n' after each row:
+    built in numpy where CELL_FORMAT prints fixed notation (1e-4 <= |x| < 1e17),
+    by format_float for zeros, other magnitudes and non-finite cells."""
+    v = np.asarray(block, dtype=float).ravel()
+    a = np.abs(v)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    X = np.clip(np.floor(np.log10(a)).astype(np.int64), -4, 16)
+    D = _significand(a, X)
+    # log10 may round across a power of ten, and a cell that rounds to exactly
+    # 10**X may have X one too high: step X once, then leave misfits to Python
+    off = np.flatnonzero((D <= 10 ** 16) | (D >= 10 ** 17))
+    if off.size:
+        X[off] = np.clip(X[off] + np.where(D[off] <= 10 ** 16, -1, 1), -4, 16)
+        D[off] = _significand(a[off], X[off])
+        fixed[off] &= (D[off] > 10 ** 16) & (D[off] < 10 ** 17)
+    G = np.empty((v.size, 5), np.int64)  # digit 0, then digits 1-4, 5-8, 9-12, 13-16
+    for j, s in enumerate((16, 12, 8, 4, 0)):
+        G[:, j] = D // 10 ** s % 10 ** 4
+    lengths = np.take(_SIGLEN, G[:, 1:]) @ (125, 25, 5, 1)  # as one base-5 number
+    code = 17 * (X + 4) + np.take(_LAST, lengths)
+    G += np.take(_OFFSET, code, axis=0)
+    G[:, 0] += 100 * (v < 0)
+    W = np.take(_WORDS, G) & np.take(_MASK, code, axis=0)
+    W[:, 4] |= np.uint64(ord(",") << 56)
+    W[ncols - 1::ncols, 4] ^= np.uint64((ord(",") ^ ord("\n")) << 56)
+    B = W.view(np.uint8)
+    slow = np.flatnonzero(~fixed)
+    if slow.size:  # a cell is at most 24 characters; byte 39 holds the separator
+        cells = "".join(format_float(x).ljust(39, "\0") for x in v[slow].tolist())
+        B[slow, :39] = np.frombuffer(cells.encode(), np.uint8).reshape(-1, 39)
+    return B.tobytes().translate(None, b"\0")
+
+
 def write_table_csv(header: str, columns, path) -> None:
     """Write equal-length columns under a header line, one CELL_FORMAT cell each."""
     step = max(1, BLOCK_VALUES // len(columns))
-    row_format = ",".join([CELL_FORMAT] * len(columns)) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for lo in range(0, len(columns[0]), step):
-            block = np.column_stack([c[lo:lo + step] for c in columns])
-            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_cells(np.column_stack([c[lo:lo + step] for c in columns]),
+                                   len(columns)))
 
 
 def jsonable(obj):

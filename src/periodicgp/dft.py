@@ -95,12 +95,19 @@ def synthesize(h: HarmonicDecomposition) -> GridPath:
     return GridPath(n, np.fft.irfft(spectrum(n, h.mean, sin_c, cos_c, h.nyquist), n))
 
 
+def check_harmonics(K: int, n: int) -> None:
+    """Harmonics 0..K on an n-point grid: K < 0 is a ValueError, K >= n/2 aliases."""
+    if K < 0:
+        raise ValueError(f"harmonic count K must be nonnegative, got {K}")
+    if K >= n // 2:
+        raise AliasingError(f"harmonic {K} is aliased on a grid of size {n}")
+
+
 def cosine_table(samples, K: int) -> np.ndarray:
     """Rectangle-rule cosine integrals (1/n) sum f_j cos(2 pi k j / n), k = 0..K."""
     f = np.asarray(samples, dtype=float)
     n = f.size
     if f.ndim != 1 or not is_power_of_two(n) or n < 4:
         raise ValueError("quadrature needs a flat power-of-two sample grid, n >= 4")
-    if K < 0 or K >= n // 2:
-        raise AliasingError(f"harmonic {K} is aliased on a grid of size {n}")
+    check_harmonics(K, n)
     return np.fft.rfft(f)[:K + 1].real / n

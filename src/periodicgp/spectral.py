@@ -55,8 +55,7 @@ def covariogram_to_coeffs(g: Covariogram, K: int,
     """
     if g.values is not None:
         n = g.n
-    if K < 0 or K >= n // 2:
-        raise AliasingError(f"harmonic {K} is aliased on a grid of size {n}")
+    dft.check_harmonics(K, n)
     mass = dft.cosine_table(g.sample(n), K)
     tol = negative_mass_tolerance(max(float(mass[0]), 0.0))
     worst = float(np.min(mass))
@@ -124,8 +123,7 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
     Standard errors are jackknife ones, which for a plain mean reduce to
     std / sqrt(R).
     """
-    if K < 0 or K >= e.n // 2:
-        raise AliasingError(f"harmonic {K} is aliased on a grid of size {e.n}")
+    dft.check_harmonics(K, e.n)
     R, n = e.R, e.n
     mean_stat = np.empty(R)
     c_stat = np.empty((R, K))

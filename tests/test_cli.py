@@ -140,6 +140,17 @@ class TestTransform:
         assert rc == 4
         assert "asymmetric" in capsys.readouterr().err
 
+    def test_all_zero_spectrum_checks_with_zero_residual(self, tmp_path, capsys):
+        cfile = tmp_path / "c.json"
+        cfile.write_text(json.dumps({"c0": 0, "c": [0, 0, 0]}))
+        out = tmp_path / "g.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("transform", "--direction", "c2g", "--in", cfile,
+                       "--out", out, "--grid", 64, "--check") == 0
+        check = json.loads((tmp_path / "g.csv.check.json").read_text())
+        assert check["round_trip_residual"] == 0.0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("tail", [{"q": 2}, 3])
     def test_malformed_tail_is_a_usage_error(self, tmp_path, capsys, tail):
@@ -257,6 +268,12 @@ class TestBadInput:
         "bridge-check-n8": (("bridge-check", "--R", 10, "--n", 8), "n >= 16"),
         "plain-bridge-n1": (("simulate", "--model", "bridge:plain", "--n", 1, "--seed", 0),
                             "n >= 4"),
+        "regularity-in-k-min": (("regularity", "--in", "{path}", "--k-min", 0),
+                                "apply only to --coeffs"),
+        "regularity-in-k-max": (("regularity", "--in", "{path}", "--k-max", 8),
+                                "apply only to --coeffs"),
+        "transform-g2c-negative-K": (("transform", "--direction", "g2c", "--in", "{cov}",
+                                      "--K", -1), "must be nonnegative"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -265,10 +282,12 @@ class TestBadInput:
         coeffs.write_text(json.dumps({"c0": 1, "c": [{"a": 1}]}))
         path = tmp_path / "path.csv"
         write_paths_csv(np.sin(2 * np.pi * np.arange(64) / 64), path)
+        cov = tmp_path / "cov.csv"
+        spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(), cov, n=64)
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
-        argv = [str(a).format(coeffs=coeffs, path=path) for a in argv]
+        argv = [str(a).format(coeffs=coeffs, path=path, cov=cov) for a in argv]
         assert run(*argv, "--out", out / "x") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err

@@ -1,5 +1,7 @@
 """Core types: coefficient validation, norms, covariograms, file formats."""
 
+import decimal
+import itertools
 import json
 import math
 import os
@@ -304,6 +306,68 @@ class TestFileFormats:
         for j, line in enumerate(lines[1:]):
             assert line.split(",") == [core.format_float(x) for x in (t[j], *values[:, j])]
         assert lines[1].split(",")[1] == "-0"
+
+    @staticmethod
+    def _exact_ties(rng, count):
+        """Doubles whose exact decimal expansion has 18 significant digits, the last a 5.
+
+        a / 2**b with a odd has the digits of a * 5**b, so a is drawn where
+        that product has 18 digits; b = 2..21 puts the exponent in -4..15.
+        """
+        ties = []
+        while len(ties) < count:
+            b = int(rng.integers(2, 22))
+            a = int(rng.integers(-(-10 ** 17 // 5 ** b), min(10 ** 18 // 5 ** b, 2 ** 53))) | 1
+            x = a / 2.0 ** b
+            digits = decimal.Decimal(x).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(x if rng.random() < 0.5 else -x)
+        return np.array(ties)
+
+    def test_table_csv_bytes_are_joined_format_float_cells(self, tmp_path):
+        # differential guard for the vectorized formatter: over a million cells,
+        # every byte of write_table_csv equals format_float joined by ',' and '\n'
+        rng = np.random.default_rng(9)
+        powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+        powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                                 np.nextafter(np.nextafter(powers, 0), 0)])
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                            1.7976931348623157e308, -1.7976931348623157e308,
+                            math.nan, math.inf, -math.inf, 1e-4, 1e17, 99999999999999984.0])
+        ties = self._exact_ties(rng, 1500)
+        pool = np.concatenate([
+            rng.standard_normal(780_000) * 10.0 ** rng.integers(-6, 19, 780_000),
+            rng.integers(-10 ** 6, 10 ** 6, 60_000).astype(float),
+            np.rint(rng.standard_normal(60_000) * 1e6) / 10.0 ** rng.integers(0, 9, 60_000),
+            rng.integers(-2 ** 20, 2 ** 20, 60_000) / 2.0 ** rng.integers(0, 34, 60_000),
+            rng.integers(0, 2 ** 64, 40_000, dtype=np.uint64).view(np.float64),
+            ties, np.tile(np.concatenate([powers, -powers, special]), 60),
+        ])
+        assert pool.size >= 1_000_000
+        pool = rng.permutation(pool)
+        for ncols, part in zip((1, 2, 4, 101), np.array_split(pool, 4)):
+            table = part[:part.size - part.size % ncols].reshape(-1, ncols)
+            table[::97, -1] = special[np.arange(len(table[::97])) % special.size]  # row ends
+            f = tmp_path / f"t{ncols}.csv"
+            core.write_table_csv("h", list(table.T), f)
+            cells = map(core.format_float, table.ravel().tolist())
+            seps = ([","] * (ncols - 1) + ["\n"]) * len(table)
+            expected = "h\n" + "".join(itertools.chain.from_iterable(zip(cells, seps)))
+            assert f.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_block_size_never_changes_bytes(self, tmp_path, monkeypatch, block):
+        rng = np.random.default_rng(10)
+        columns = [np.arange(300) / 300, rng.standard_normal(300),
+                   rng.standard_normal(300) * 1e-6, np.round(rng.standard_normal(300), 2)]
+        columns[1][::13] = 0.0
+        columns[3][::17] = -math.inf
+        expected = tmp_path / "reference.csv"
+        core.write_table_csv("a,b,c,d", columns, expected)
+        monkeypatch.setattr(core, "BLOCK_VALUES", block)
+        f = tmp_path / "blocked.csv"
+        core.write_table_csv("a,b,c,d", columns, f)
+        assert f.read_bytes() == expected.read_bytes()
 
     def test_blank_and_comment_lines_before_data_are_skipped(self, tmp_path):
         f = tmp_path / "p.csv"

@@ -105,6 +105,11 @@ class TestCosineQuadrature:
         with pytest.raises(AliasingError):
             cosine_table(np.ones(16), 8)
 
+    def test_negative_harmonic_count_is_not_aliasing(self):
+        with pytest.raises(ValueError, match="nonnegative") as info:
+            cosine_table(np.ones(16), -1)
+        assert not isinstance(info.value, AliasingError)
+
     def test_consistency_with_analyze(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(32)

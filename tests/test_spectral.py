@@ -9,6 +9,7 @@ from periodicgp import bridge, spectral, synthesis
 from periodicgp.core import (
     AliasingError,
     Covariogram,
+    PathEnsemble,
     SpectralCoefficients,
     SpectrumError,
     h_norm,
@@ -47,6 +48,13 @@ class TestCovariogramToCoeffs:
         for k in range(1, 9):
             assert c.c[k - 1] ** 2 == pytest.approx(1 / (2 * math.pi * k) ** 2,
                                                     abs=1e-7)
+
+    @pytest.mark.parametrize("K, error", [(-1, ValueError), (128, AliasingError)])
+    def test_harmonic_count_checked(self, K, error):
+        g = Covariogram.from_table(np.full(256, 2.25))
+        with pytest.raises(error) as info:
+            covariogram_to_coeffs(g, K=K)
+        assert type(info.value) is error
 
     def test_materially_negative_mass_rejected(self):
         # symmetric, lag-zero dominant, but one harmonic carries mass -0.02
@@ -125,16 +133,21 @@ class TestRoundTrips:
 
 class TestEmpiricalCoeffs:
     def test_zero_ensemble(self):
-        from periodicgp.core import PathEnsemble
         e = PathEnsemble(16, np.zeros((4, 16)), 0)
         est = empirical_coeffs(e, 4)
         assert est.c0_sq == 0.0
         assert np.allclose(est.c_sq, 0.0)
 
+    @pytest.mark.parametrize("K, error", [(-1, ValueError), (8, AliasingError)])
+    def test_harmonic_count_checked(self, K, error):
+        e = PathEnsemble(16, np.zeros((4, 16)), 0)
+        with pytest.raises(error) as info:
+            empirical_coeffs(e, K)
+        assert type(info.value) is error
+
     def test_deterministic_single_tone_normalization(self):
         # path sqrt(2) sin(2 pi t) is the unit-coefficient draw Y_1 = 1, so
         # a single replicate reports c_1^2 = (Y_1^2 + Y_1'^2)/2 = 1/2
-        from periodicgp.core import PathEnsemble
         t = _grid(64)
         e = PathEnsemble(64, (math.sqrt(2) * np.sin(2 * np.pi * t))[None, :], 0)
         est = empirical_coeffs(e, 3)
@@ -150,7 +163,6 @@ class TestEmpiricalCoeffs:
         assert np.max(np.abs(z)) < 3
 
     def test_coefficients_accessor_takes_square_roots(self):
-        from periodicgp.core import PathEnsemble
         t = _grid(32)
         e = PathEnsemble(32, (2.0 + 0 * t)[None, :], 0)
         est = empirical_coeffs(e, 2)
