@@ -61,6 +61,13 @@ def _auto_truncation(coeffs, n: int, eps, trunc) -> int:
     return cap
 
 
+def _refuse_flags(args, context: str, *flags: str) -> None:
+    """Exit 2 on a flag that has no effect in this context rather than ignore it."""
+    for flag in flags:
+        if getattr(args, flag.lstrip("-")) is not None:
+            raise ValueError(f"{flag} does not apply to {context}")
+
+
 def cmd_simulate(args) -> None:
     seed = _resolve_seed(args.seed)
     n, R = args.n, args.paths
@@ -73,6 +80,7 @@ def cmd_simulate(args) -> None:
         "eps": args.eps,
     }
     if args.model == "param":
+        _refuse_flags(args, "--model param", "--coeffs")
         if args.a is None or args.p is None:
             raise ValueError("--model param needs --a and --p")
         model = ParametricModel(args.a, args.p)
@@ -82,6 +90,7 @@ def cmd_simulate(args) -> None:
         ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
         meta.update(a=args.a, p=args.p, truncation=K)
     elif args.model == "coeffs":
+        _refuse_flags(args, "--model coeffs", "--a", "--p")
         if args.coeffs is None:
             raise ValueError("--model coeffs needs --coeffs FILE")
         coeffs = read_coefficients(args.coeffs)
@@ -93,8 +102,7 @@ def cmd_simulate(args) -> None:
         if name not in _BRIDGE_CLI_NAMES:
             raise ValueError(f"unknown bridge variant {name!r}; "
                              f"choose from {', '.join(_BRIDGE_CLI_NAMES)}")
-        if args.eps is not None:
-            raise ValueError("--eps does not apply to bridge models; use --trunc")
+        _refuse_flags(args, "bridge models", "--eps", "--a", "--p", "--coeffs")
         variant = _BRIDGE_CLI_NAMES[name]
         ensemble = bridge.bridge_ensemble(variant, R, n, seed, M=args.trunc)
         meta.update(variant=name,
@@ -107,16 +115,19 @@ def cmd_simulate(args) -> None:
 
 def cmd_transform(args) -> None:
     if args.direction == "c2g":
+        _refuse_flags(args, "--direction c2g", "--K")
+        grid = args.grid if args.grid is not None else spectral.DEFAULT_QUADRATURE_GRID
         c = read_coefficients(args.infile)
-        g = spectral.coeffs_to_covariogram(c, args.grid)
+        g = spectral.coeffs_to_covariogram(c, grid)
         spectral.write_covariogram_csv(g, args.out)
         if args.check:
-            back = spectral.covariogram_to_coeffs(g, K=c.support, n=args.grid)
+            back = spectral.covariogram_to_coeffs(g, K=c.support, n=grid)
             orig = np.concatenate(([c.c0], c.c))
             rec = np.concatenate(([back.c0], back.c))
             residual = float(np.linalg.norm(rec - orig) / max(np.linalg.norm(orig), 1e-300))
             write_json({"round_trip_residual": residual}, f"{args.out}.check.json")
     elif args.direction == "g2c":
+        _refuse_flags(args, "--direction g2c (the grid comes from the input file)", "--grid")
         g = spectral.read_covariogram_csv(args.infile)
         K = args.K if args.K is not None else min(64, g.n // 2 - 1)
         c = spectral.covariogram_to_coeffs(g, K=K, n=g.n)
@@ -273,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--in", dest="infile", required=True, help="input file")
     tr.add_argument("--out", required=True, help="output file")
     tr.add_argument("--K", type=int, help="harmonics to extract (g2c), default min(64, n/2-1)")
-    tr.add_argument("--grid", type=int, default=spectral.DEFAULT_QUADRATURE_GRID,
-                    help="grid size for c2g output")
+    tr.add_argument("--grid", type=int,
+                    help=f"grid size for c2g output, default {spectral.DEFAULT_QUADRATURE_GRID}")
     tr.add_argument("--check", action="store_true",
                     help="also write a round-trip residual to OUT.check.json")
     tr.set_defaults(func=cmd_transform)

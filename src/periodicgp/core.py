@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 
 class SpectrumError(ValueError):
@@ -78,7 +77,13 @@ class TailDecay:
             raise ValueError("tail constant must be finite and nonnegative")
 
     def mass_beyond(self, k: int) -> float:
-        """Exact remainder 2 * sum_{j>k} const * j**(-q), via the Hurwitz zeta function."""
+        """Exact remainder 2 * sum_{j>k} const * j**(-q), via the Hurwitz zeta function.
+
+        scipy.special is imported on the first call; of the CLI's commands only
+        --eps gets here, so the others never pay its import time.
+        """
+        from scipy.special import zeta
+
         return 2.0 * self.const * float(zeta(self.q, k + 1))
 
     def coefficient(self, k):

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expm1
 
 from . import dft
 from .core import (
@@ -242,8 +241,11 @@ def residual_report(r: np.ndarray) -> GoodnessReport:
     The p-value comes straight from scipy's exact Kolmogorov kernel (Simard &
     L'Ecuyer, J. Stat. Softw. 39(11), 2011), the function kstwo.sf calls;
     _kolmogn is a private scipy name, pinned bit for bit against kstwo.sf by a
-    differential test in tests/test_fit.py.
+    differential test in tests/test_fit.py.  scipy.special and scipy.stats are
+    imported on the first call, so that no other command pays their import time.
     """
+    from scipy.special import expm1
+
     n = r.size
     mean = float(r.mean())
     dispersion = float(r.var(ddof=1)) / mean ** 2

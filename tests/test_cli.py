@@ -274,12 +274,35 @@ class TestBadInput:
                                 "apply only to --coeffs"),
         "transform-g2c-negative-K": (("transform", "--direction", "g2c", "--in", "{cov}",
                                       "--K", -1), "must be nonnegative"),
+        # flags that would have no effect are refused rather than ignored
+        "simulate-param-coeffs": (("simulate", "--model", "param", "--a", 1, "--p", 1.5,
+                                   "--coeffs", "{valid}", "--n", 64, "--seed", 0),
+                                  "--coeffs does not apply to --model param"),
+        "simulate-coeffs-a": (("simulate", "--model", "coeffs", "--coeffs", "{valid}",
+                               "--a", 2, "--n", 64, "--seed", 0),
+                              "--a does not apply to --model coeffs"),
+        "simulate-coeffs-p": (("simulate", "--model", "coeffs", "--coeffs", "{valid}",
+                               "--p", 2, "--n", 64, "--seed", 0),
+                              "--p does not apply to --model coeffs"),
+        "simulate-bridge-a": (("simulate", "--model", "bridge:plain", "--a", 3,
+                               "--n", 64, "--seed", 0), "--a does not apply to bridge models"),
+        "simulate-bridge-p": (("simulate", "--model", "bridge:centralized", "--p", 2,
+                               "--n", 64, "--seed", 0), "--p does not apply to bridge models"),
+        "simulate-bridge-coeffs": (("simulate", "--model", "bridge:centered-shift",
+                                    "--coeffs", "{valid}", "--n", 64, "--seed", 0),
+                                   "--coeffs does not apply to bridge models"),
+        "transform-c2g-K": (("transform", "--direction", "c2g", "--in", "{valid}", "--K", 5),
+                            "--K does not apply to --direction c2g"),
+        "transform-g2c-grid": (("transform", "--direction", "g2c", "--in", "{cov}",
+                                "--grid", 128), "--grid does not apply to --direction g2c"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_exits_two_with_a_message(self, case, tmp_path, capsys):
         coeffs = tmp_path / "c.json"
         coeffs.write_text(json.dumps({"c0": 1, "c": [{"a": 1}]}))
+        valid = tmp_path / "valid.json"
+        write_coefficients(SpectralCoefficients(1.0, (0.5, 0.25)), valid)
         path = tmp_path / "path.csv"
         write_paths_csv(np.sin(2 * np.pi * np.arange(64) / 64), path)
         cov = tmp_path / "cov.csv"
@@ -287,7 +310,7 @@ class TestBadInput:
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
-        argv = [str(a).format(coeffs=coeffs, path=path, cov=cov) for a in argv]
+        argv = [str(a).format(coeffs=coeffs, valid=valid, path=path, cov=cov) for a in argv]
         assert run(*argv, "--out", out / "x") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err
@@ -393,6 +416,49 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+_NO_SCIPY_COMMANDS = r"""
+import json, sys
+from periodicgp.cli import main
+
+d = sys.argv[1]
+commands = [
+    ["simulate", "--model", "param", "--a", "1", "--p", "1.5", "--n", "64", "--paths", "3",
+     "--seed", "1", "--out", d + "/sim"],
+    ["simulate", "--model", "bridge:centralized", "--n", "64", "--paths", "2", "--seed", "2",
+     "--out", d + "/brg"],
+    ["simulate", "--model", "coeffs", "--coeffs", d + "/c.json", "--n", "64", "--seed", "3",
+     "--out", d + "/cs"],
+    ["regularity", "--in", d + "/sim.csv", "--out", d + "/reg_in.json"],
+    ["regularity", "--coeffs", "bridge", "--out", d + "/reg_bridge.json"],
+    ["sweep", "--p-list", "1,2.1", "--n", "64", "--seed", "4", "--out", d + "/sw"],
+    ["transform", "--direction", "c2g", "--in", d + "/c.json", "--grid", "64", "--check",
+     "--out", d + "/g.csv"],
+    ["transform", "--direction", "g2c", "--in", d + "/g.csv", "--K", "8", "--check",
+     "--out", d + "/back.json"],
+    ["bridge-check", "--R", "20", "--n", "16", "--terms", "1000", "--out", d + "/chk.json"],
+]
+codes = [main(argv) for argv in commands]
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+late = [main(["fit", "--in", d + "/sim.csv", "--out", d + "/fit"]),
+        main(["simulate", "--model", "param", "--a", "1", "--p", "3", "--n", "64",
+              "--eps", "1e-4", "--seed", "5", "--out", d + "/eps"])]
+print(json.dumps({"codes": codes, "scipy": scipy, "late": late}))
+"""
+
+
+def test_only_fit_and_eps_load_scipy(tmp_path):
+    # scipy.special is a third of the CLI's start-up time; only fit and --eps use it
+    write_coefficients(SpectralCoefficients(1.0, (0.5, 0.25, 0.125)), tmp_path / "c.json")
+    src = Path(periodicgp.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_COMMANDS, str(tmp_path)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+                         timeout=120, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 9, out.stderr
+    assert result["scipy"] == []
+    assert result["late"] == [0, 0], out.stderr
 
 
 def test_usage_error_exits_two():
