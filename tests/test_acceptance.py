@@ -224,7 +224,7 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
 
 # SHA-256 of every file written by criterion 9's commands, plus two short
 # truncations: a 2-harmonic coefficient file (coef) and an M = 16 bridge
-# (brg16).  Digests depend on numpy's seeding, samplers and FFT, fit.json's also
+# (brg16), and two amplitudes other than 1 (sima07 with --eps, swa19).  Digests depend on numpy's seeding, samplers and FFT, fit.json's also
 # on scipy's exact KS kernel; they were pinned on PINNED_ON_NUMPY and
 # PINNED_ON_SCIPY, and a change that moves them must re-pin them and say why.
 PINNED_ON_NUMPY = "2.4.6"
@@ -245,8 +245,12 @@ GOLDEN_DIGESTS = {
     "reg.json": "137dd1b2d801890be634ce1a777b8554779341227bb8ab94fbbb8a7f81aedcbe",
     "sim.csv": "ba2a1ecb9b0b7fc6a9f8f1ee7e79177aec2c9eb627ecd35dd554b6c2516bb299",
     "sim.meta.json": "def7ebcb4c901316cb4ff70c2e53dcdec55c20460e32656ca08206ad95256c96",
+    "sima07.csv": "47c5cfa4ed5a1b74d31a5ab4482614ea39414a866cea7bf97069540be4e8aa41",
+    "sima07.meta.json": "f52ad81c3b78c82de35f174d3cef6d09eca6847fb773224d83a313204203e2d0",
     "sw.csv": "9fa22a8c760e6bf35a1a477d3abc3d2d999a8bb9378405c8ece0679ce146d4aa",
     "sw.meta.json": "45f2267cea198a0060a65e9c8aa839387b08a7e580b286ef41c9910e4bef40e2",
+    "swa19.csv": "706f1c756f07d0b5918ba8d51d242ab0cdb952364817159146e7ca9a76c637ae",
+    "swa19.meta.json": "dfee3e3804e70f87ba4a855a9ff3e16a379ba288b3eed22bc11f25130ee0409a",
 }
 
 
@@ -260,6 +264,11 @@ def test_golden_output_digests(tmp_path, monkeypatch):
          "--paths", "3", "--seed", "5", "--out", str(root / "coef")),
         ("simulate", "--model", "bridge:centralized", "--trunc", "16", "--n", "256",
          "--paths", "2", "--seed", "3", "--out", str(root / "brg16")),
+        # amplitudes other than 1, where the declared tail's sqrt(a**2) must equal a
+        ("simulate", "--model", "param", "--a", "0.7", "--p", "1.3", "--eps", "1e-3",
+         "--n", "256", "--paths", "2", "--seed", "9", "--out", str(root / "sima07")),
+        ("sweep", "--p-list", "1.2,2.5", "--a", "1.9", "--n", "128", "--seed", "13",
+         "--out", str(root / "swa19")),
     ]
     for argv in _criterion_9_commands(root, cfile, gfile) + short:
         assert cli_main(list(argv)) == 0, argv
