@@ -28,11 +28,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dft
-from .core import Covariogram, GridPath, PathEnsemble, SpectralCoefficients, TailDecay
+from .core import (Covariogram, GridPath, PathEnsemble, SpectralCoefficients, TailDecay,
+                   check_grid)
 from .synthesis import (
     SQRT2,
     RngStream,
+    _ensemble,
     generators,
     replicate_lag_products,
     replicate_mean,
@@ -65,6 +66,8 @@ def centered_bridge_coefficients(support: int = DEFAULT_COEFF_SUPPORT) -> Spectr
 
 def resolve_truncation(variant: str, n: int, M: int | None = None) -> int:
     """M if given, else n/2 sine modes, or n/2 - 1 harmonics for the series variant."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown bridge variant {variant!r}")
     if M is not None:
         return M
     return n // 2 - 1 if variant == "centered_series" else n // 2
@@ -78,8 +81,7 @@ def _sine_rows(variant: str, n: int, M: int | None, streams) -> np.ndarray:
     of its half spectrum is set to -n sqrt2 W_k / (k pi).  centered_shift rotates
     rows by their offsets (two slice copies), centralized subtracts row means.
     """
-    if n < 4:
-        raise ValueError("grid size must be a power of two, n >= 4")
+    check_grid(n)
     M = resolve_truncation(variant, n, M)
     if M < 0 or M >= n:
         raise ValueError("sine truncation must satisfy 0 <= M < n")
@@ -122,26 +124,16 @@ def bridge_path(variant: str, n: int, M: int | None = None, rng: RngStream = Non
     if variant == "centered_series":
         return sample_path(centered_bridge_coefficients(),
                            resolve_truncation(variant, n, M), n, rng)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown bridge variant {variant!r}")
     return GridPath(n, _sine_rows(variant, n, M, [rng])[0], seed_tag=rng.tag)
 
 
 def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,
                     M: int | None = None) -> PathEnsemble:
     """R replicate bridge paths, one stream per replicate as in synthesis."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown bridge variant {variant!r}")
-    if R < 1:
-        raise ValueError("need at least one replicate")
     if variant == "centered_series":
         return sample_ensemble(centered_bridge_coefficients(),
                                resolve_truncation(variant, n, M), n, R, master_seed)
-    rows = np.empty((R, n))
-    for lo, hi in dft.row_chunks(R, 2 * n):
-        streams = [RngStream(master_seed, r) for r in range(lo, hi)]
-        rows[lo:hi] = _sine_rows(variant, n, M, streams)
-    return PathEnsemble(n, rows, master_seed=master_seed)
+    return _ensemble(lambda s: _sine_rows(variant, n, M, s), R, n, master_seed, 2 * n)
 
 
 class IdentityCheck(NamedTuple):

@@ -23,6 +23,7 @@ from .core import (
     ParametricModel,
     PathEnsemble,
     SpectrumError,
+    check_grid,
     read_coefficients,
     read_paths_csv,
     write_coefficients,
@@ -48,6 +49,7 @@ def _auto_truncation(coeffs, n: int, eps, trunc) -> int:
     fill that band so downstream harmonic fits see every frequency they inspect."""
     if eps is not None and trunc is not None:
         raise ValueError("give at most one of --eps or --trunc")
+    check_grid(n)  # before the cap n/2 - 1 is read as a truncation limit
     if trunc is not None:
         return int(trunc)
     cap = n // 2 - 1
@@ -83,10 +85,9 @@ def cmd_simulate(args) -> None:
         _refuse_flags(args, "--model param", "--coeffs")
         if args.a is None or args.p is None:
             raise ValueError("--model param needs --a and --p")
-        model = ParametricModel(args.a, args.p)
-        probe = fit.model_coefficients(model, 1)
-        K = _auto_truncation(probe, n, args.eps, args.trunc)
-        coeffs = fit.model_coefficients(model, max(K, 1))
+        # the declared tail supplies a / k**p beyond k = 1
+        coeffs = fit.model_coefficients(ParametricModel(args.a, args.p), 1)
+        K = _auto_truncation(coeffs, n, args.eps, args.trunc)
         ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
         meta.update(a=args.a, p=args.p, truncation=K)
     elif args.model == "coeffs":
@@ -187,32 +188,17 @@ def cmd_regularity(args) -> None:
     else:
         t, values = read_paths_csv(args.infile)
         ensemble = PathEnsemble(t.size, values)
-        est = regularity.estimate_holder(ensemble)
-        write_json({
-            "holder_estimate": est.exponent,
-            "stderr": est.stderr,
-            "raw_slope": est.raw_slope,
-            "raw_slope_stderr": est.raw_slope_stderr,
-            "flag": est.flag,
-            "lags": list(est.lags),
-        }, args.out)
+        est = asdict(regularity.estimate_holder(ensemble))
+        est["holder_estimate"] = est.pop("exponent")
+        write_json(est, args.out)
 
 
 def cmd_bridge_check(args) -> None:
     rep = bridge.decomposition_check(args.R, args.n, M=args.M, master_seed=args.seed)
-    identity = []
-    identity_ok = True
-    for k in (1, 2, 3):
-        check = bridge.proof_identity(k, args.terms)
-        ok = check.gap < 1e-6
-        identity_ok = identity_ok and ok
-        identity.append({
-            "k": k,
-            "partial_sum": check.partial_sum,
-            "target": check.target,
-            "gap": check.gap,
-            "pass": ok,
-        })
+    checks = {k: bridge.proof_identity(k, args.terms) for k in (1, 2, 3)}
+    identity = [{"k": k, **check._asdict(), "pass": check.gap < 1e-6}
+                for k, check in checks.items()]
+    identity_ok = all(row["pass"] for row in identity)
     payload = {
         "decomposition": asdict(rep),
         "identity": identity,
@@ -234,14 +220,11 @@ def cmd_sweep(args) -> None:
     if not p_list:
         raise ValueError("--p-list is empty")
     n = args.n
-    K = max(_auto_truncation(fit.model_coefficients(ParametricModel(args.a, p), 1),
-                             n, args.eps, args.trunc) for p in p_list)
+    models = [fit.model_coefficients(ParametricModel(args.a, p), 1) for p in p_list]
+    K = max(_auto_truncation(c, n, args.eps, args.trunc) for c in models)
     # one shared draw block: every column sees the same (Y, Y') event
-    columns = []
-    for p in p_list:
-        coeffs = fit.model_coefficients(ParametricModel(args.a, p), max(K, 1))
-        path = synthesis.sample_path(coeffs, K, n, synthesis.RngStream(seed, 0))
-        columns.append(path.values)
+    columns = [synthesis.sample_path(c, K, n, synthesis.RngStream(seed, 0)).values
+               for c in models]
     write_table_csv("t," + ",".join(f"x_p{p:g}" for p in p_list),
                     [np.arange(n) / n, *columns], f"{args.out}.csv")
     write_json({
@@ -339,19 +322,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-        return 0
-    except AliasingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DegenerateDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        codes = {AliasingError: 3, SpectrumError: 4, DegenerateDataError: 5}
+        return next((code for cls, code in codes.items() if isinstance(exc, cls)), 2)
+    return 0
 
 
 if __name__ == "__main__":

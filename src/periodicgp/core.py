@@ -48,6 +48,13 @@ def is_power_of_two(n) -> bool:
     return isinstance(n, (int, np.integer)) and n >= 1 and (int(n) & (int(n) - 1)) == 0
 
 
+def check_grid(n) -> None:
+    """The grid rule, n a power of two >= 4: harmonics 1..n/2 - 1 then sit on their
+    own DFT bins below Nyquist.  Call it before sizing any work from n."""
+    if not (is_power_of_two(n) and n >= 4):
+        raise ValueError(f"grid size must be a power of two, n >= 4, got {n}")
+
+
 def negative_mass_tolerance(c0_sq: float) -> float:
     """Clamp threshold for spurious negative spectral mass.
 
@@ -112,6 +119,9 @@ class SpectralCoefficients:
             raise SpectrumError("coefficients must be finite")
         if c0 < 0.0 or np.any(c < 0.0):
             raise SpectrumError("coefficients must be nonnegative")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(c0 * c0 + 2.0 * float(np.sum(np.square(c)))):
+                raise SpectrumError("coefficients' squared mass c0^2 + 2 sum c_k^2 overflows")
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c", c)
 
@@ -153,7 +163,7 @@ def validate_coefficients(raw: Sequence[float],
         raise ValueError("coefficients must form a flat sequence")
     if not np.all(np.isfinite(arr)):
         raise SpectrumError("coefficients must be finite")
-    tol = negative_mass_tolerance(float(arr[0]) ** 2)
+    tol = negative_mass_tolerance(float(arr[0]) * float(arr[0]))  # inf, not OverflowError
     if np.any(arr < -tol):
         raise SpectrumError("negative spectral mass")
     arr = np.where(arr < 0.0, 0.0, arr)
@@ -195,8 +205,9 @@ class Covariogram:
         if self.kind not in SAMPLED_KINDS:
             raise ValueError(f"unknown covariogram kind {self.kind!r}")
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 4 or not is_power_of_two(v.size):
-            raise ValueError("sampled covariogram needs a power-of-two grid, >= 4 points")
+        if v.ndim != 1:
+            raise ValueError("sampled covariogram values must be a flat array")
+        check_grid(v.size)
         if not np.all(np.isfinite(v)):
             raise SpectrumError("covariogram values must be finite")
         scale = float(np.max(np.abs(v))) or 1.0
@@ -238,8 +249,7 @@ class Covariogram:
 
     def sample(self, n: int) -> np.ndarray:
         """Values on the uniform grid d = j/n for j = 0..n-1."""
-        if not is_power_of_two(n):
-            raise ValueError("grid size must be a power of two")
+        check_grid(n)
         if self.values is not None:
             if n != self.n:
                 raise ValueError("sampled covariogram cannot be resampled")
@@ -256,8 +266,7 @@ class GridPath:
     seed_tag: str | None = None
 
     def __post_init__(self):
-        if not is_power_of_two(self.n):
-            raise ValueError("grid size must be a power of two")
+        check_grid(self.n)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.n,):
             raise ValueError("values must be a flat array of length n")
@@ -282,8 +291,7 @@ class PathEnsemble:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.n or v.shape[0] < 1:
             raise ValueError("ensemble values must have shape (R, n) with R >= 1")
-        if not is_power_of_two(self.n):
-            raise ValueError("grid size must be a power of two")
+        check_grid(self.n)
         if not np.all(np.isfinite(v)):
             raise ValueError("ensemble values must be finite")
         object.__setattr__(self, "values", _readonly(v))
@@ -441,23 +449,17 @@ def write_table_csv(header: str, columns, path) -> None:
                                    len(columns)))
 
 
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dump can serialize."""
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
+def _numpy_to_json(obj):  # json.dumps' default=; np.float64 is a float already
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(obj, path) -> None:
     """Write strict JSON: a NaN or infinity raises ValueError before the file is opened."""
     try:
-        text = json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                          default=_numpy_to_json)
     except ValueError:
         raise ValueError(f"{path}: refusing to write a non-finite value as JSON") from None
     with open(path, "w", newline="\n") as fh:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AliasingError, GridPath, is_power_of_two
+from .core import AliasingError, GridPath, check_grid
 
 # grid values per batched transform: enough rows to amortize per-call
 # overhead, few enough that a chunk's temporaries stay at a few MB
@@ -47,9 +47,7 @@ def harmonics(F: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def analyze(path: GridPath) -> HarmonicDecomposition:
     """Project a grid path onto the discrete trigonometric basis."""
-    n = path.n
-    if not is_power_of_two(n) or n < 4:
-        raise ValueError("analysis needs a power-of-two grid with n >= 4")
+    n = path.n  # GridPath has checked the grid
     F = np.fft.rfft(path.values)
     sin_coef, cos_coef = harmonics(F[1:n // 2], n)
     return HarmonicDecomposition(
@@ -86,8 +84,7 @@ def spectrum(n: int, mean, sin_coef, cos_coef, nyquist=0.0) -> np.ndarray:
 def synthesize(h: HarmonicDecomposition) -> GridPath:
     """Inverse of analyze: rebuild the path from its harmonics."""
     n = h.n
-    if not is_power_of_two(n) or n < 4:
-        raise ValueError("synthesis needs a power-of-two grid with n >= 4")
+    check_grid(n)
     sin_c = np.asarray(h.sin_coef, dtype=float)
     cos_c = np.asarray(h.cos_coef, dtype=float)
     if sin_c.shape != (n // 2 - 1,) or cos_c.shape != (n // 2 - 1,):
@@ -107,7 +104,8 @@ def cosine_table(samples, K: int) -> np.ndarray:
     """Rectangle-rule cosine integrals (1/n) sum f_j cos(2 pi k j / n), k = 0..K."""
     f = np.asarray(samples, dtype=float)
     n = f.size
-    if f.ndim != 1 or not is_power_of_two(n) or n < 4:
-        raise ValueError("quadrature needs a flat power-of-two sample grid, n >= 4")
+    if f.ndim != 1:
+        raise ValueError("quadrature needs a flat sample grid")
+    check_grid(n)
     check_harmonics(K, n)
     return np.fft.rfft(f)[:K + 1].real / n

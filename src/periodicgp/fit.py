@@ -42,7 +42,6 @@ import numpy as np
 
 from . import dft
 from .core import (
-    AliasingError,
     DegenerateDataError,
     GridPath,
     ParametricModel,
@@ -71,8 +70,7 @@ def model_coefficients(model: ParametricModel, K: int) -> SpectralCoefficients:
 def _harmonic_energy(h: dft.HarmonicDecomposition, K: int) -> np.ndarray:
     if K < 1:
         raise ValueError("need at least one harmonic")
-    if K > h.sin_coef.size:
-        raise AliasingError(f"only {h.sin_coef.size} harmonics available below Nyquist")
+    dft.check_harmonics(K, h.n)
     T = h.sin_coef[:K] ** 2 + h.cos_coef[:K] ** 2
     if not np.any(T > _ENERGY_FLOOR):
         raise DegenerateDataError("degenerate observation: no harmonic energy")
@@ -174,8 +172,6 @@ def fit_mle(path: GridPath, K: int | None = None,
         K = n // 4
     if K < 4:
         raise ValueError("need at least 4 harmonics to identify (a, p)")
-    if K >= n // 2:
-        raise AliasingError(f"K={K} aliases on a grid of size {n}")
     lo, hi = float(p_bounds[0]), float(p_bounds[1])
     if not (0.5 < lo < hi < math.inf):
         raise ValueError("p bounds must satisfy 1/2 < lo < hi < inf")

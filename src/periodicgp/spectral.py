@@ -16,12 +16,11 @@ import numpy as np
 
 from . import dft
 from .core import (
-    AliasingError,
     Covariogram,
     PathEnsemble,
     SpectralCoefficients,
     SpectrumError,
-    is_power_of_two,
+    check_grid,
     negative_mass_tolerance,
     read_grid_csv,
     write_table_csv,
@@ -55,7 +54,6 @@ def covariogram_to_coeffs(g: Covariogram, K: int,
     """
     if g.values is not None:
         n = g.n
-    dft.check_harmonics(K, n)
     mass = dft.cosine_table(g.sample(n), K)
     tol = negative_mass_tolerance(max(float(mass[0]), 0.0))
     worst = float(np.min(mass))
@@ -81,11 +79,9 @@ def coeffs_to_covariogram(c: SpectralCoefficients, n: int) -> Covariogram:
     folded onto a finite grid without aliasing, so the reconstruction is
     the truncated one.  Support must stay below n/2.
     """
-    if not is_power_of_two(n) or n < 4:
-        raise ValueError("output grid must be a power of two, n >= 4")
+    check_grid(n)
     K = c.support
-    if K >= n // 2:
-        raise AliasingError(f"support {K} aliases on a grid of size {n}")
+    dft.check_harmonics(K, n)
     spec = np.zeros(n // 2 + 1)
     spec[0] = c.c0 ** 2
     spec[1:K + 1] = np.square(c.c)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .core import (
     GridPath,
     PathEnsemble,
     SpectralCoefficients,
-    is_power_of_two,
+    check_grid,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -170,6 +171,8 @@ def truncation_index(c: SpectralCoefficients, eps: float = DEFAULT_EPS) -> int:
     lo = c.support  # mass_beyond(lo) > budget here
     hi = max(2 * lo, 2)
     while tail.mass_beyond(hi) > budget:
+        if 2 * hi + 1 > sys.float_info.max:  # zeta takes K + 1 as a float
+            raise AliasingError(f"eps {eps:g} is not met by any truncation K < {float(hi):.3g}")
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -186,12 +189,8 @@ def _series_rows(c: SpectralCoefficients, K: int, n: int, streams) -> np.ndarray
     Each stream draws its own 1 + 2K block into its row of the half spectrum,
     and one inverse transform runs over the rows, so no row sees its neighbours.
     """
-    if not is_power_of_two(n) or n < 4:
-        raise ValueError("grid size must be a power of two, n >= 4")
-    if K < 0:
-        raise ValueError("truncation must be nonnegative")
-    if K >= n // 2:
-        raise AliasingError(f"truncation K={K} aliases on a grid of size {n}")
+    check_grid(n)
+    dft.check_harmonics(K, n)
     F = np.zeros((len(streams), n // 2 + 1), dtype=complex)
     flat = F.view(float)
     for i, gen in enumerate(generators(streams)):
@@ -206,16 +205,23 @@ def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> Grid
     return GridPath(n, _series_rows(c, K, n, [rng])[0], seed_tag=rng.tag)
 
 
+def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsemble:
+    """R paths on j/n from rows(streams), replicate r from stream r, after checking R
+    and the grid; each chunk of replicates is sized so that their transform rows,
+    width values each, fit dft.ROW_BUDGET together."""
+    if R < 1:
+        raise ValueError("need at least one replicate")
+    check_grid(n)
+    values = np.empty((R, n))
+    for lo, hi in dft.row_chunks(R, width):
+        values[lo:hi] = rows([RngStream(master_seed, r) for r in range(lo, hi)])
+    return PathEnsemble(n, values, master_seed=master_seed)
+
+
 def sample_ensemble(c: SpectralCoefficients, K: int, n: int, R: int,
                     master_seed: int) -> PathEnsemble:
     """R independent paths; replicate r always draws from stream r."""
-    if R < 1:
-        raise ValueError("need at least one replicate")
-    rows = np.empty((R, n))
-    for lo, hi in dft.row_chunks(R, n):
-        streams = [RngStream(master_seed, r) for r in range(lo, hi)]
-        rows[lo:hi] = _series_rows(c, K, n, streams)
-    return PathEnsemble(n, rows, master_seed=master_seed)
+    return _ensemble(lambda s: _series_rows(c, K, n, s), R, n, master_seed, n)
 
 
 def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:

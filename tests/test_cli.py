@@ -268,6 +268,15 @@ class TestBadInput:
         "bridge-check-n8": (("bridge-check", "--R", 10, "--n", 8), "n >= 16"),
         "plain-bridge-n1": (("simulate", "--model", "bridge:plain", "--n", 1, "--seed", 0),
                             "n >= 4"),
+        # the grid is checked before the ensemble is cut into chunks of rows
+        "simulate-param-n0": (("simulate", "--model", "param", "--a", 1, "--p", 1.5,
+                               "--n", 0, "--seed", 0), "n >= 4"),
+        "simulate-bridge-n0": (("simulate", "--model", "bridge:plain", "--n", 0, "--seed", 0),
+                               "n >= 4"),
+        "simulate-series-bridge-n0": (("simulate", "--model", "bridge:centered-series",
+                                       "--n", 0, "--seed", 0), "n >= 4"),
+        "simulate-eps-n0": (("simulate", "--model", "param", "--a", 1, "--p", 1.5, "--n", 0,
+                             "--eps", 1e-3, "--seed", 0), "n >= 4"),
         "regularity-in-k-min": (("regularity", "--in", "{path}", "--k-min", 0),
                                 "apply only to --coeffs"),
         "regularity-in-k-max": (("regularity", "--in", "{path}", "--k-max", 8),
@@ -314,6 +323,34 @@ class TestBadInput:
         assert run(*argv, "--out", out / "x") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err
+        assert not any(out.iterdir())
+
+
+class TestOverflowingCoefficients:
+    # c0^2 or c_1^2 beyond the float range: exit 4 with a message, no warning
+    FILES = {"c0-1e200": {"c0": 1e200, "c": [0.5]}, "c1-1e160": {"c0": 1.0, "c": [1e160]}}
+    COMMANDS = {
+        "transform-c2g-check": ("transform", "--direction", "c2g", "--in", "{f}", "--check",
+                                "--grid", 64),
+        "regularity-coeffs": ("regularity", "--coeffs", "{f}"),
+        "simulate-eps": ("simulate", "--model", "coeffs", "--coeffs", "{f}", "--eps", 1e-3,
+                         "--n", 64, "--seed", 0),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("name", sorted(FILES))
+    def test_exits_four_with_a_message(self, name, command, tmp_path, capsys):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps(self.FILES[name]))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [str(a).format(f=f) for a in self.COMMANDS[command]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--out", out / "x") == 4
+        err = capsys.readouterr().err
+        assert "squared mass" in err and "overflows" in err and "Traceback" not in err
+        assert not caught
         assert not any(out.iterdir())
 
 
@@ -395,6 +432,22 @@ class TestEpsBudget:
         assert need > 31
         err = capsys.readouterr().err
         assert f"K={need}" in err and "n=64" in err
+        assert not out.with_suffix(".csv").exists()
+        assert not out.with_suffix(".meta.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_budget_beyond_the_float_range_is_an_aliasing_error(self, command, tmp_path,
+                                                                 capsys):
+        # at p = 1/2 + 1e-7 the tail energy falls like K^(-2e-7): no float K holds half
+        out = tmp_path / "x"
+        argv = [str(a).format(p=0.5000001) for a in self.COMMANDS[command]]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(*argv, "--n", 64, "--eps", 0.5, "--seed", 0, "--out", out)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "eps 0.5" in err and "Traceback" not in err
+        assert not caught
         assert not out.with_suffix(".csv").exists()
         assert not out.with_suffix(".meta.json").exists()
 

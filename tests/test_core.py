@@ -6,12 +6,13 @@ import json
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodicgp import core
+from periodicgp import bridge, core, dft, spectral
 from periodicgp.core import (
     Covariogram,
     GridPath,
@@ -30,6 +31,7 @@ from periodicgp.core import (
     write_json,
     write_paths_csv,
 )
+from periodicgp.synthesis import RngStream, sample_ensemble, sample_path
 
 
 class TestValidateCoefficients:
@@ -231,6 +233,40 @@ class TestPathEnsemble:
         e = PathEnsemble(8, np.arange(16.0).reshape(2, 8), 0)
         assert e.R == 2
         assert np.array_equal(e.path(1).values, np.arange(8.0, 16.0))
+
+
+def _zero_harmonics(n):
+    half = np.zeros(max(n // 2 - 1, 0))
+    return dft.HarmonicDecomposition(n, 0.0, half, half, 0.0)
+
+
+# every public entry that takes a grid size n, each called with valid other arguments
+GRID_ENTRIES = {
+    "GridPath": lambda n: GridPath(n, np.zeros(n)),
+    "PathEnsemble": lambda n: PathEnsemble(n, np.zeros((2, n))),
+    "Covariogram.sample": lambda n: Covariogram.closed_form("centered_bridge").sample(n),
+    "sample_path": lambda n: sample_path(SpectralCoefficients(1.0, ()), 0, n, RngStream(0)),
+    "sample_ensemble": lambda n: sample_ensemble(SpectralCoefficients(1.0, ()), 0, n, 2, 0),
+    **{f"bridge_path:{v}": (lambda n, v=v: bridge.bridge_path(v, n, rng=RngStream(0)))
+       for v in bridge.VARIANTS},
+    **{f"bridge_ensemble:{v}": (lambda n, v=v: bridge.bridge_ensemble(v, 2, n, 0))
+       for v in bridge.VARIANTS},
+    "coeffs_to_covariogram":
+        lambda n: spectral.coeffs_to_covariogram(SpectralCoefficients(1.0, ()), n),
+    "cosine_table": lambda n: dft.cosine_table(np.zeros(n), 0),
+    "synthesize": lambda n: dft.synthesize(_zero_harmonics(n)),
+}
+
+
+@pytest.mark.parametrize("n", [0, 2, 3, 24])
+@pytest.mark.parametrize("entry", sorted(GRID_ENTRIES))
+def test_every_entry_taking_n_applies_the_one_grid_rule(entry, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            GRID_ENTRIES[entry](n)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"grid size must be a power of two, n >= 4, got {n}"
 
 
 class TestParametricModel:

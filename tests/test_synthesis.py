@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from periodicgp import bridge, dft, regularity, synthesis
+from periodicgp import bridge, dft, fit, regularity, synthesis
 from periodicgp.core import (
     AliasingError,
     DegenerateDataError,
+    ParametricModel,
     PathEnsemble,
     SpectralCoefficients,
     TailDecay,
@@ -229,6 +230,20 @@ class TestSampleEnsemble:
             for r in range(R):
                 alone = bridge.bridge_path(variant, n, M=16, rng=RngStream(21, r))
                 assert np.array_equal(e.values[r], alone.values), (variant, r)
+
+    def test_declared_power_tail_equals_stored_coefficients_bit_for_bit(self):
+        # the CLI samples a / k**p from model_coefficients(m, 1), whose declared tail
+        # gives sqrt(a**2) * k**(-2p / 2) beyond k = 1: equal to storing all K of them
+        rng = np.random.default_rng(2011)
+        cases = [(1.5e-154, 0.9, 200), (1.6e-154, 4.0, 37), (1e150, 0.55, 255),
+                 (9.7e149, 2.3, 90)]
+        cases += [(10.0 ** rng.uniform(-153.8, 150.0), rng.uniform(0.501, 6.0),
+                   int(rng.integers(0, 256))) for _ in range(200)]
+        for seed, (a, p, K) in enumerate(cases):
+            m = ParametricModel(a, p)
+            short = sample_ensemble(fit.model_coefficients(m, 1), K, 512, 2, seed)
+            full = sample_ensemble(fit.model_coefficients(m, max(K, 1)), K, 512, 2, seed)
+            assert np.array_equal(short.values, full.values), (a, p, K)
 
     def test_variance_identity_and_gaussian_marginals(self):
         # mean over t of E[x_t^2] equals the truncated squared mass
