@@ -159,7 +159,7 @@ def proof_identity(k: int, terms: int) -> IdentityCheck:
     return IdentityCheck(partial, target, abs(target - partial))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionReport:
     """Empirical check that the centered bridge splits as mean offset + centralized part."""
 

@@ -81,24 +81,7 @@ def cmd_simulate(args) -> None:
         "seed": seed,
         "eps": args.eps,
     }
-    if args.model == "param":
-        _refuse_flags(args, "--model param", "--coeffs")
-        if args.a is None or args.p is None:
-            raise ValueError("--model param needs --a and --p")
-        # the declared tail supplies a / k**p beyond k = 1
-        coeffs = fit.model_coefficients(ParametricModel(args.a, args.p), 1)
-        K = _auto_truncation(coeffs, n, args.eps, args.trunc)
-        ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
-        meta.update(a=args.a, p=args.p, truncation=K)
-    elif args.model == "coeffs":
-        _refuse_flags(args, "--model coeffs", "--a", "--p")
-        if args.coeffs is None:
-            raise ValueError("--model coeffs needs --coeffs FILE")
-        coeffs = read_coefficients(args.coeffs)
-        K = _auto_truncation(coeffs, n, args.eps, args.trunc)
-        ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
-        meta.update(coeffs_file=args.coeffs, truncation=K)
-    elif args.model.startswith("bridge:"):
+    if args.model.startswith("bridge:"):
         name = args.model.split(":", 1)[1]
         if name not in _BRIDGE_CLI_NAMES:
             raise ValueError(f"unknown bridge variant {name!r}; "
@@ -109,9 +92,33 @@ def cmd_simulate(args) -> None:
         meta.update(variant=name,
                     truncation=bridge.resolve_truncation(variant, n, args.trunc))
     else:
-        raise ValueError("--model must be param, coeffs, or bridge:<variant>")
+        if args.model == "param":
+            _refuse_flags(args, "--model param", "--coeffs")
+            if args.a is None or args.p is None:
+                raise ValueError("--model param needs --a and --p")
+            # the declared tail supplies a / k**p beyond k = 1
+            coeffs = fit.model_coefficients(ParametricModel(args.a, args.p), 1)
+            meta.update(a=args.a, p=args.p)
+        elif args.model == "coeffs":
+            _refuse_flags(args, "--model coeffs", "--a", "--p")
+            if args.coeffs is None:
+                raise ValueError("--model coeffs needs --coeffs FILE")
+            coeffs = read_coefficients(args.coeffs)
+            meta.update(coeffs_file=args.coeffs)
+        else:
+            raise ValueError("--model must be param, coeffs, or bridge:<variant>")
+        K = meta["truncation"] = _auto_truncation(coeffs, n, args.eps, args.trunc)
+        ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
     write_paths_csv(ensemble.values, f"{args.out}.csv")
     write_json(meta, f"{args.out}.meta.json")
+
+
+def _relative_residual(back: np.ndarray, orig: np.ndarray) -> float:
+    """||back - orig|| / max(||orig||, 1e-300), both scaled by one power of two so that no
+    square overflows: the scaling is exact, so the ratio keeps its bits."""
+    e = -np.frexp(max(np.abs(back).max(), np.abs(orig).max()))[1]
+    back, orig = np.ldexp(back, e), np.ldexp(orig, e)
+    return float(np.linalg.norm(back - orig) / max(np.linalg.norm(orig), np.ldexp(1e-300, e)))
 
 
 def cmd_transform(args) -> None:
@@ -119,27 +126,21 @@ def cmd_transform(args) -> None:
         _refuse_flags(args, "--direction c2g", "--K")
         grid = args.grid if args.grid is not None else spectral.DEFAULT_QUADRATURE_GRID
         c = read_coefficients(args.infile)
-        g = spectral.coeffs_to_covariogram(c, grid)
-        spectral.write_covariogram_csv(g, args.out)
+        result, write = spectral.coeffs_to_covariogram(c, grid), spectral.write_covariogram_csv
         if args.check:
-            back = spectral.covariogram_to_coeffs(g, K=c.support, n=grid)
-            orig = np.concatenate(([c.c0], c.c))
-            rec = np.concatenate(([back.c0], back.c))
-            residual = float(np.linalg.norm(rec - orig) / max(np.linalg.norm(orig), 1e-300))
-            write_json({"round_trip_residual": residual}, f"{args.out}.check.json")
-    elif args.direction == "g2c":
+            back = spectral.covariogram_to_coeffs(result, K=c.support, n=grid)
+            pair = [np.concatenate(([x.c0], x.c)) for x in (back, c)]
+    else:  # g2c, the only other choice the parser admits
         _refuse_flags(args, "--direction g2c (the grid comes from the input file)", "--grid")
         g = spectral.read_covariogram_csv(args.infile)
         K = args.K if args.K is not None else min(64, g.n // 2 - 1)
-        c = spectral.covariogram_to_coeffs(g, K=K, n=g.n)
-        write_coefficients(c, args.out)
+        result, write = spectral.covariogram_to_coeffs(g, K=K, n=g.n), write_coefficients
         if args.check:
-            back = spectral.coeffs_to_covariogram(c, g.n)
-            residual = float(np.linalg.norm(back.values - g.values)
-                             / max(np.linalg.norm(g.values), 1e-300))
-            write_json({"round_trip_residual": residual}, f"{args.out}.check.json")
-    else:
-        raise ValueError("--direction must be c2g or g2c")
+            pair = [spectral.coeffs_to_covariogram(result, g.n).values, g.values]
+    residual = _relative_residual(*pair) if args.check else None  # before any file is opened
+    write(result, args.out)
+    if args.check:
+        write_json({"round_trip_residual": residual}, f"{args.out}.check.json")
 
 
 def _load_single_path(infile: str, column: int) -> GridPath:

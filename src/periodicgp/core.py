@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -175,16 +175,11 @@ def h_norm(c: SpectralCoefficients) -> float:
     return math.sqrt(c.squared_mass())
 
 
-CLOSED_FORM_KINDS = ("centered_bridge", "centralized_bridge")
-SAMPLED_KINDS = ("from_coefficients", "user_table")
+# closed forms (d - 1/2)^2 / 2 + shift of the centered and centralized bridges
+_BRIDGE_SHIFTS = {"centered_bridge": 1.0 / 24.0, "centralized_bridge": -1.0 / 24.0}
 
 
-def _bridge_closed_form(delta, shift: float):
-    d = np.asarray(delta, dtype=float) % 1.0
-    return (d - 0.5) ** 2 / 2.0 + shift
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Covariogram:
     """Stationary covariance C(d) on the circle, closed form or sampled.
 
@@ -198,11 +193,11 @@ class Covariogram:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind in CLOSED_FORM_KINDS:
+        if self.kind in _BRIDGE_SHIFTS:
             if self.values is not None:
                 raise ValueError(f"closed form {self.kind!r} takes no sample values")
             return
-        if self.kind not in SAMPLED_KINDS:
+        if self.kind != "user_table":
             raise ValueError(f"unknown covariogram kind {self.kind!r}")
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
@@ -226,21 +221,15 @@ class Covariogram:
     def from_table(cls, values) -> "Covariogram":
         return cls(kind="user_table", values=values)
 
-    @classmethod
-    def from_samples(cls, values) -> "Covariogram":
-        return cls(kind="from_coefficients", values=values)
-
     @property
     def n(self) -> int | None:
         return None if self.values is None else int(self.values.size)
 
     def at(self, delta):
         """Evaluate C at lag(s) delta; sampled variants accept grid lags only."""
-        if self.kind == "centered_bridge":
-            return _bridge_closed_form(delta, +1.0 / 24.0)
-        if self.kind == "centralized_bridge":
-            return _bridge_closed_form(delta, -1.0 / 24.0)
         d = np.asarray(delta, dtype=float) % 1.0
+        if self.values is None:
+            return (d - 0.5) ** 2 / 2.0 + _BRIDGE_SHIFTS[self.kind]
         idx = d * self.n
         j = np.rint(idx)
         if np.max(np.abs(idx - j)) > 1e-9:
@@ -257,7 +246,7 @@ class Covariogram:
         return self.at(np.arange(n) / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridPath:
     """One trajectory sampled at t = j/n on the periodic unit grid."""
 
@@ -279,7 +268,7 @@ class GridPath:
         return np.arange(self.n) / self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathEnsemble:
     """R independent replicate paths on a shared grid, row per replicate."""
 
@@ -313,9 +302,9 @@ class ParametricModel:
     p: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and sys.float_info.min <= self.a * self.a < math.inf):
-            raise ValueError("amplitude a must be positive, with a finite square that "
-                             "does not underflow")
+        if not (self.a > 0.0 and sys.float_info.min <= self.a * self.a <= sys.float_info.max / 2):
+            raise ValueError("amplitude a must be positive, with a finite square: a^2 "
+                             "must not underflow, nor 2a^2 overflow")
         if not (math.isfinite(self.p) and self.p > 0.5):
             raise ValueError("p must exceed 1/2 for square-summable coefficients")
 
@@ -467,9 +456,7 @@ def write_json(obj, path) -> None:
 
 
 def write_coefficients(c: SpectralCoefficients, path) -> None:
-    tail = None
-    if c.declared_tail is not None:
-        tail = {"q": c.declared_tail.q, "const": c.declared_tail.const}
+    tail = None if c.declared_tail is None else asdict(c.declared_tail)
     write_json({"c0": c.c0, "c": c.c, "tail": tail}, path)
 
 

@@ -31,7 +31,7 @@ from .core import AliasingError, GridPath, check_grid
 ROW_BUDGET = 2 ** 19
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicDecomposition:
     n: int
     mean: float

@@ -71,7 +71,10 @@ def _harmonic_energy(h: dft.HarmonicDecomposition, K: int) -> np.ndarray:
     if K < 1:
         raise ValueError("need at least one harmonic")
     dft.check_harmonics(K, h.n)
-    T = h.sin_coef[:K] ** 2 + h.cos_coef[:K] ** 2
+    with np.errstate(over="ignore"):
+        T = h.sin_coef[:K] ** 2 + h.cos_coef[:K] ** 2
+    if not np.all(np.isfinite(T)):
+        raise ValueError("harmonic energy sin_k^2 + cos_k^2 overflows the float range")
     if not np.any(T > _ENERGY_FLOOR):
         raise DegenerateDataError("degenerate observation: no harmonic energy")
     return T

@@ -72,7 +72,7 @@ def fit_decay(c: SpectralCoefficients, k_min: int = 1, k_max: int | None = None)
                     residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureFunctionTable:
     """S(h) at chosen grid lags with Monte Carlo standard errors."""
 

@@ -52,9 +52,7 @@ def covariogram_to_coeffs(g: Covariogram, K: int,
         c_k = sqrt(max(0, quadrature value)).  Mass more negative than the
         clamp tolerance aborts: the input cannot be a covariance function.
     """
-    if g.values is not None:
-        n = g.n
-    mass = dft.cosine_table(g.sample(n), K)
+    mass = dft.cosine_table(g.sample(g.n or n), K)
     tol = negative_mass_tolerance(max(float(mass[0]), 0.0))
     worst = float(np.min(mass))
     if worst < -tol:
@@ -89,10 +87,10 @@ def coeffs_to_covariogram(c: SpectralCoefficients, n: int) -> Covariogram:
     values = np.fft.irfft(F, n)
     # grid symmetry can be off by one rounding step; restore it exactly
     values = (values + np.concatenate(([values[0]], values[:0:-1]))) / 2.0
-    return Covariogram.from_samples(values)
+    return Covariogram.from_table(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientEstimate:
     """Squared-coefficient estimates from an ensemble, with jackknife errors."""
 
@@ -123,13 +121,16 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
     R, n = e.R, e.n
     mean_stat = np.empty(R)
     c_stat = np.empty((R, K))
-    for lo, hi in dft.row_chunks(R, n):
-        F = np.fft.rfft(e.values[lo:hi], axis=1)
-        mean_stat[lo:hi] = F[:, 0].real / n
-        if K:
-            sin_c, cos_c = dft.harmonics(F[:, 1:K + 1], n)
-            c_stat[lo:hi] = (sin_c ** 2 + cos_c ** 2) / 4.0
-    c0_sq, c0_se = replicate_mean(mean_stat ** 2)
+    with np.errstate(over="ignore"):
+        for lo, hi in dft.row_chunks(R, n):
+            F = np.fft.rfft(e.values[lo:hi], axis=1)
+            mean_stat[lo:hi] = (F[:, 0].real / n) ** 2
+            if K:
+                sin_c, cos_c = dft.harmonics(F[:, 1:K + 1], n)
+                c_stat[lo:hi] = (sin_c ** 2 + cos_c ** 2) / 4.0
+    if not all(np.isfinite(x).all() for x in (mean_stat, c_stat)):
+        raise ValueError("harmonic energies overflow: a squared DFT term exceeds the float range")
+    c0_sq, c0_se = replicate_mean(mean_stat)
     c_sq, c_se = replicate_mean(c_stat)
     return CoefficientEstimate(
         R=R,
@@ -144,7 +145,7 @@ def write_covariogram_csv(g: Covariogram, path, n: int | None = None) -> None:
     """Write one period as delta,value rows; closed forms need an explicit n."""
     if g.values is None and n is None:
         raise ValueError("closed-form covariogram needs an explicit grid size")
-    values = g.sample(n if g.values is None else g.n)
+    values = g.sample(g.n or n)
     write_table_csv("delta,value", [np.arange(values.size) / values.size, values], path)
 
 

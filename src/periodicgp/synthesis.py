@@ -2,7 +2,8 @@
 
 Reproducibility contract: every draw flows from an RngStream: stream r of
 master seed s is np.random.default_rng([s, r]).  Several streams of one seed
-get the same PCG64 states from one vectorized pass, checked bit for bit against
+take their SeedSequence words from one vectorized pass, and numpy's PCG64 seeds
+each stream's own Generator from them; the pass is checked bit for bit against
 default_rng once per process (default_rng per stream on a mismatch).
 A path consumes one block of 1 + 2K standard normals laid out as
 
@@ -79,7 +80,6 @@ class RngStream:
 _MIX_H, _OUT_H = (np.array([a * pow(m, i, 2 ** 32) % 2 ** 32 for i in range(17)],
                            dtype=np.uint32)[:, None]
                   for a, m in ((0x43b0d7e5, 0x931e8875), (0x8b51f9dd, 0x58f38ded)))
-_PCG64_MULT, _MASK128 = 2549297995355413924 << 64 | 4865540595714422341, (1 << 128) - 1
 
 
 def _hash(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -87,8 +87,8 @@ def _hash(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return v ^ (v >> 16)
 
 
-def _pcg64_states(master_seed: int, stream_ids) -> list:
-    """(state, inc) of PCG64(SeedSequence([master_seed, r])) for each 0 <= r < 2**64."""
+def _seed_words(master_seed: int, stream_ids) -> np.ndarray:
+    """SeedSequence([master_seed, r]).generate_state(4, np.uint64), a C-contiguous row per r."""
     r = np.asarray(stream_ids, dtype=np.uint64)
     pool = np.array(np.broadcast_arrays(master_seed & 0xFFFFFFFF, master_seed >> 32,
                                         r & 0xFFFFFFFF, r >> 32), dtype=np.uint32)
@@ -104,45 +104,42 @@ def _pcg64_states(master_seed: int, stream_ids) -> list:
             v = pool[dst] * 0xca01f9dd - h * 0x4973f715
             pool[dst] = v ^ (v >> 16)
         out = _hash(np.tile(pool, (2, 1)), _OUT_H[:9]).astype(np.uint64)
-    w0, w1, w2, w3 = (out[0::2] | out[1::2] << 32).tolist()
-    incs = [((a << 64 | b) << 1 | 1) & _MASK128 for a, b in zip(w2, w3)]  # PCG64's srandom
-    return [(((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc)
-            for a, b, inc in zip(w0, w1, incs)]
+    return np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
 
 
-def _replayed(master_seed: int, stream_ids):
-    """A Generator of this call's own (no two calls share one), set to each stream in turn."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    for state, inc in _pcg64_states(master_seed, stream_ids):
-        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                   "state": {"state": state, "inc": inc}}
-        yield gen
+class _SeedWords:  # registered as an ISeedSequence on first use: numpy.random loads lazily
+    """A row of _seed_words as PCG64's seed: PCG64 reads the raw buffer of 4 uint64 words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for (4, np.uint64)
+        return self.words
 
 
 @functools.cache  # settled once per process, by the first batched call
 def _seeding_self_check() -> bool:
-    """Batched seeding replays default_rng bit for bit, after 0, 1 and 2 shift draws."""
+    """PCG64 seeded from batched words is in default_rng's state, on batches of 3 streams."""
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
     pairs = ((0, 0), (2 ** 32 + 7, 5), (2 ** 63 + 11, 2), (2 ** 64 - 1, 1), (99, 2 ** 32 + 3))
     for seed, r in pairs:
-        for shifts, gen in enumerate(_replayed(seed, [r] * 3)):
-            draws = [[g.integers(1000) for _ in range(shifts)] + list(g.standard_normal(3))
-                     for g in (gen, np.random.default_rng([seed, r]))]
-            if draws[0] != draws[1]:
+        ids = (r, 2 * r + 1, 0)
+        for words, i in zip(_seed_words(seed, ids), ids):
+            state = np.random.PCG64(_SeedWords(words)).state
+            if state != np.random.default_rng([seed, i]).bit_generator.state:
                 return False
     return True
 
 
 def generators(streams):
-    """One numpy generator per stream, in order; a missing stream is a usage error.
-
-    Several streams of one seed share one Generator, reset per stream: draw each
-    stream's block before taking the next, and never list() the result.
-    """
+    """One numpy Generator per stream, in order; a missing stream is a usage error.
+    Streams of one seed are seeded from one vectorized pass, one Generator at a time."""
     if any(rng is None for rng in streams):
         raise ValueError("sample paths need an RngStream")
-    seeds, ids = {rng.master_seed for rng in streams}, [rng.stream_id for rng in streams]
-    if len(ids) > 1 and len(seeds) == 1 and _seeding_self_check():
-        return _replayed(seeds.pop(), ids)
+    seeds = {rng.master_seed for rng in streams}
+    if len(streams) > 1 and len(seeds) == 1 and _seeding_self_check():
+        words = _seed_words(seeds.pop(), [rng.stream_id for rng in streams])
+        return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
     return [rng.generator() for rng in streams]
 
 
@@ -165,9 +162,7 @@ def truncation_index(c: SpectralCoefficients, eps: float = DEFAULT_EPS) -> int:
     hits = np.nonzero(suffix <= budget)[0]
     if hits.size:
         return int(hits[0])
-    if c.declared_tail is None:  # unreachable: suffix at K = support is then zero
-        raise ValueError("tail unknown: cannot truncate an unbounded spectrum")
-    tail = c.declared_tail
+    tail = c.declared_tail  # without one the suffix at K = support is 0 <= budget
     lo = c.support  # mass_beyond(lo) > budget here
     hi = max(2 * lo, 2)
     while tail.mass_beyond(hi) > budget:
@@ -239,9 +234,12 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     if np.any(d < 0) or np.any(d >= n):
         raise ValueError("lags must satisfy 0 <= d < n")
     out = np.empty((R, d.size))
-    for lo, hi in dft.row_chunks(R, n):
-        F = np.fft.rfft(v[lo:hi], axis=1)
-        out[lo:hi] = np.fft.irfft(F * F.conj(), n, axis=1)[:, d] / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in dft.row_chunks(R, n):
+            F = np.fft.rfft(v[lo:hi], axis=1)
+            out[lo:hi] = np.fft.irfft(F * F.conj(), n, axis=1)[:, d] / n
+    if not np.all(np.isfinite(out)):
+        raise ValueError("lag products overflow: |DFT|^2 of a path exceeds the float range")
     return out
 
 
@@ -254,7 +252,7 @@ def replicate_mean(per: np.ndarray):
     return mean, per.std(axis=0, ddof=1) / math.sqrt(R)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariogramEstimate:
     """Monte Carlo covariogram estimate at chosen grid lags, with standard errors."""
 

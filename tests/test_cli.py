@@ -15,6 +15,8 @@ import periodicgp
 from periodicgp import bridge, dft, fit, spectral, synthesis
 from periodicgp.cli import main
 from periodicgp.core import (
+    Covariogram,
+    GridPath,
     ParametricModel,
     PathEnsemble,
     SpectralCoefficients,
@@ -152,6 +154,19 @@ class TestTransform:
         assert check["round_trip_residual"] == 0.0
         assert capsys.readouterr().err == ""
 
+    def test_huge_covariogram_checks_without_overflow(self, tmp_path, capsys):
+        # ||C|| of 64 values of 1e300 overflows; the residual is taken on scaled vectors
+        gfile = tmp_path / "g.csv"
+        spectral.write_covariogram_csv(Covariogram.from_table(np.full(64, 1e300)), gfile)
+        out = tmp_path / "c.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("transform", "--direction", "g2c", "--in", gfile, "--out", out,
+                       "--check") == 0
+        residual = json.loads((tmp_path / "c.json.check.json").read_text())["round_trip_residual"]
+        assert math.isfinite(residual) and residual < 1e-12
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("tail", [{"q": 2}, 3])
     def test_malformed_tail_is_a_usage_error(self, tmp_path, capsys, tail):
         cfile = tmp_path / "c.json"
@@ -243,6 +258,11 @@ class TestBadInput:
                                           "--p", 1.5, "--n", 64, "--seed", 0), "finite square"),
         "sweep-a-squared-overflows": (("sweep", "--p-list", "1.5", "--a", 1e300, "--n", 64,
                                        "--seed", 0), "finite square"),
+        # 2a^2 overflows although a^2 does not: the stored mass of c_1 = a
+        "simulate-a-mass-overflows": (("simulate", "--model", "param", "--a", 1e154,
+                                       "--p", 1.5, "--n", 64, "--seed", 0), "finite square"),
+        "sweep-a-mass-overflows": (("sweep", "--p-list", "1.5", "--a", 1e154, "--n", 64,
+                                    "--seed", 0), "finite square"),
         "simulate-a-squared-underflows": (("simulate", "--model", "param", "--a", 1e-200,
                                            "--p", 1.5, "--n", 64, "--seed", 0, "--eps", 1e-3),
                                           "finite square"),
@@ -352,6 +372,38 @@ class TestOverflowingCoefficients:
         assert "squared mass" in err and "overflows" in err and "Traceback" not in err
         assert not caught
         assert not any(out.iterdir())
+
+
+class TestOverflowingDftSquares:
+    # a path of N(0, 1) * 1e300: its squared DFT terms overflow the float range
+    @staticmethod
+    def _path(R=1):
+        return np.random.default_rng(3).standard_normal((R, 64)) * 1e300
+
+    @pytest.mark.parametrize("command", ["fit", "regularity"])
+    def test_exits_two_with_a_message(self, command, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        write_paths_csv(self._path()[0], path)
+        out = tmp_path / "out"
+        out.mkdir()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(command, "--in", path, "--out", out / "x") == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "Traceback" not in err and "narrow" not in err
+        assert not caught
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("call", [
+        lambda v: fit.fit_mle(GridPath(64, v[0])),
+        lambda v: synthesis.replicate_lag_products(v, [0, 1]),
+        lambda v: spectral.empirical_coeffs(PathEnsemble(64, v), 4),
+    ], ids=["fit_mle", "replicate_lag_products", "empirical_coeffs"])
+    def test_library_calls_refuse(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                call(self._path(R=2))
 
 
 class TestHeaderOnlyInput:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import threading
 import warnings
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodicgp import bridge, core, dft, spectral
+from periodicgp import bridge, core, dft, fit, regularity, spectral
 from periodicgp.core import (
     Covariogram,
     GridPath,
@@ -31,7 +32,7 @@ from periodicgp.core import (
     write_json,
     write_paths_csv,
 )
-from periodicgp.synthesis import RngStream, sample_ensemble, sample_path
+from periodicgp.synthesis import RngStream, empirical_covariogram, sample_ensemble, sample_path
 
 
 class TestValidateCoefficients:
@@ -277,6 +278,42 @@ class TestParametricModel:
     def test_amplitude_positive(self):
         with pytest.raises(ValueError, match="positive"):
             ParametricModel(0.0, 1.5)
+
+    def test_every_accepted_amplitude_has_a_finite_stored_mass(self):
+        # the largest a with 2a^2 finite is accepted and stores; the next float is refused
+        a = math.sqrt(sys.float_info.max / 2)
+        while 2.0 * a * a == math.inf:
+            a = math.nextafter(a, 0.0)
+        c = fit.model_coefficients(ParametricModel(a, 1.5), 1)
+        assert c.c[0] == a
+        for bad in (math.nextafter(a, math.inf), 1e154, 1.3e154):
+            with pytest.raises(ValueError, match="finite square"):
+                ParametricModel(bad, 1.5)
+
+
+def _small_ensemble():
+    return PathEnsemble(16, np.cos(np.arange(32.0)).reshape(2, 16), 0)
+
+
+# value types holding arrays: == and hash fall back to identity
+ARRAY_HOLDERS = {
+    "GridPath": lambda: GridPath(8, np.zeros(8)),
+    "PathEnsemble": _small_ensemble,
+    "Covariogram": lambda: Covariogram.from_table(np.ones(8)),
+    "HarmonicDecomposition": lambda: dft.analyze(GridPath(8, np.arange(8.0))),
+    "CovariogramEstimate": lambda: empirical_covariogram(_small_ensemble(), [0, 1]),
+    "StructureFunctionTable": lambda: regularity.structure_function(_small_ensemble(), [1, 2]),
+    "CoefficientEstimate": lambda: spectral.empirical_coeffs(_small_ensemble(), 2),
+    "DecompositionReport": lambda: bridge.decomposition_check(4, 16, M=4, master_seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+def test_array_holding_values_compare_by_identity(name):
+    a, b = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+    assert a == a and a != b and not (b == a)
+    assert a in [b, a] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 
 class TestRegularityReport:

@@ -75,19 +75,21 @@ class TestBatchedSeeding:
     def test_states_equal_default_rng_on_thousands_of_pairs(self):
         assert len(self.SEEDS) * len(self.STREAM_IDS) > 3000
         for seed in self.SEEDS:
-            got = [{"state": state, "inc": inc}
-                   for state, inc in synthesis._pcg64_states(seed, self.STREAM_IDS)]
-            want = [np.random.default_rng([seed, r]).bit_generator.state["state"]
+            got = synthesis._seed_words(seed, self.STREAM_IDS)
+            want = [np.random.SeedSequence([seed, r]).generate_state(4, np.uint64)
                     for r in self.STREAM_IDS]
-            assert got == want, seed
+            assert got.dtype == np.uint64 and got.flags.c_contiguous
+            assert np.array_equal(got, want), seed
 
     def test_self_check_passes_and_ensembles_take_the_batch(self):
         synthesis._seeding_self_check.cache_clear()
         assert synthesis._seeding_self_check() is True
-        assert not isinstance(synthesis.generators([RngStream(5, r) for r in range(3)]), list)
+        gens = list(synthesis.generators([RngStream(5, r) for r in range(3)]))
+        assert all(type(g.bit_generator.seed_seq) is synthesis._SeedWords for g in gens)
         # one stream, or streams of two seeds, keep default_rng per stream
-        assert isinstance(synthesis.generators([RngStream(5, 0)]), list)
-        assert isinstance(synthesis.generators([RngStream(5, 0), RngStream(6, 1)]), list)
+        for streams in ([RngStream(5, 0)], [RngStream(5, 0), RngStream(6, 1)]):
+            assert all(type(g.bit_generator.seed_seq) is np.random.SeedSequence
+                       for g in synthesis.generators(streams))
 
     @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, 2 ** 64 - 1])
     def test_shared_generator_replays_every_stream(self, seed):
@@ -99,10 +101,34 @@ class TestBatchedSeeding:
                 for gen in (s.generator() for s in streams)]
         assert got == want
 
+    def test_listed_batch_draws_in_any_order(self):
+        streams = [RngStream(23, r) for r in range(5)]
+        gens = list(synthesis.generators(streams))
+        assert len({id(g) for g in gens}) == 5
+        got = {r: gens[r].standard_normal(4).tobytes() for r in reversed(range(5))}
+        for r, s in enumerate(streams):
+            assert got[r] == s.generator().standard_normal(4).tobytes(), r
+
+    def test_strided_words_fail_the_self_check(self, monkeypatch):
+        # PCG64 reads the raw buffer: a strided row would seed from other rows' words
+        derive, check = synthesis._seed_words, synthesis._seeding_self_check
+        monkeypatch.setattr(synthesis, "_seed_words",
+                            lambda seed, ids: np.asfortranarray(derive(seed, ids)))
+        check.cache_clear()
+        try:
+            assert check() is False
+        finally:
+            check.cache_clear()
+
     def test_corrupted_derivation_falls_back_to_default_rng(self, monkeypatch):
-        derive, check = synthesis._pcg64_states, synthesis._seeding_self_check
-        monkeypatch.setattr(synthesis, "_pcg64_states", lambda seed, ids: [
-            (state ^ 1 << 64, inc) for state, inc in derive(seed, ids)])  # one bit per state
+        derive, check = synthesis._seed_words, synthesis._seeding_self_check
+
+        def corrupted(seed, ids):
+            words = derive(seed, ids)
+            words[:, 0] ^= np.uint64(1)  # one bit of each stream's state word
+            return words
+
+        monkeypatch.setattr(synthesis, "_seed_words", corrupted)
         check.cache_clear()
         try:
             assert check() is False
@@ -115,7 +141,7 @@ class TestBatchedSeeding:
                 for r in range(R):
                     alone = bridge.bridge_path(variant, n, M=8, rng=RngStream(19, r))
                     assert np.array_equal(b.values[r], alone.values), (variant, r)
-            # unguarded, the corrupted states would have changed the rows
+            # unguarded, the corrupted words would have changed the rows
             monkeypatch.setattr(synthesis, "_seeding_self_check", lambda: True)
             assert not np.array_equal(sample_ensemble(c, 3, n, R, 17).values, e.values)
         finally:
