@@ -124,7 +124,7 @@ def bridge_path(variant: str, n: int, M: int | None = None, rng: RngStream = Non
     if variant == "centered_series":
         return sample_path(centered_bridge_coefficients(),
                            resolve_truncation(variant, n, M), n, rng)
-    return GridPath(n, _sine_rows(variant, n, M, [rng])[0], seed_tag=rng.tag)
+    return GridPath(n, _sine_rows(variant, n, M, [rng])[0])
 
 
 def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,

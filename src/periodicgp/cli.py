@@ -83,9 +83,6 @@ def cmd_simulate(args) -> None:
     }
     if args.model.startswith("bridge:"):
         name = args.model.split(":", 1)[1]
-        if name not in _BRIDGE_CLI_NAMES:
-            raise ValueError(f"unknown bridge variant {name!r}; "
-                             f"choose from {', '.join(_BRIDGE_CLI_NAMES)}")
         _refuse_flags(args, "bridge models", "--eps", "--a", "--p", "--coeffs")
         variant = _BRIDGE_CLI_NAMES[name]
         ensemble = bridge.bridge_ensemble(variant, R, n, seed, M=args.trunc)
@@ -99,14 +96,12 @@ def cmd_simulate(args) -> None:
             # the declared tail supplies a / k**p beyond k = 1
             coeffs = fit.model_coefficients(ParametricModel(args.a, args.p), 1)
             meta.update(a=args.a, p=args.p)
-        elif args.model == "coeffs":
+        else:  # coeffs, the only other choice the parser admits
             _refuse_flags(args, "--model coeffs", "--a", "--p")
             if args.coeffs is None:
                 raise ValueError("--model coeffs needs --coeffs FILE")
             coeffs = read_coefficients(args.coeffs)
             meta.update(coeffs_file=args.coeffs)
-        else:
-            raise ValueError("--model must be param, coeffs, or bridge:<variant>")
         K = meta["truncation"] = _auto_truncation(coeffs, n, args.eps, args.trunc)
         ensemble = synthesis.sample_ensemble(coeffs, K, n, R, seed)
     write_paths_csv(ensemble.values, f"{args.out}.csv")
@@ -128,13 +123,13 @@ def cmd_transform(args) -> None:
         c = read_coefficients(args.infile)
         result, write = spectral.coeffs_to_covariogram(c, grid), spectral.write_covariogram_csv
         if args.check:
-            back = spectral.covariogram_to_coeffs(result, K=c.support, n=grid)
+            back = spectral.covariogram_to_coeffs(result, K=c.support)
             pair = [np.concatenate(([x.c0], x.c)) for x in (back, c)]
     else:  # g2c, the only other choice the parser admits
         _refuse_flags(args, "--direction g2c (the grid comes from the input file)", "--grid")
         g = spectral.read_covariogram_csv(args.infile)
         K = args.K if args.K is not None else min(64, g.n // 2 - 1)
-        result, write = spectral.covariogram_to_coeffs(g, K=K, n=g.n), write_coefficients
+        result, write = spectral.covariogram_to_coeffs(g, K=K), write_coefficients
         if args.check:
             pair = [spectral.coeffs_to_covariogram(result, g.n).values, g.values]
     residual = _relative_residual(*pair) if args.check else None  # before any file is opened
@@ -247,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="sample replicate paths to CSV")
     sim.add_argument("--model", required=True,
-                     help="param | coeffs | bridge:plain | bridge:centered-shift | "
-                          "bridge:centralized | bridge:centered-series")
+                     choices=["param", "coeffs", *("bridge:" + name for name in _BRIDGE_CLI_NAMES)])
     sim.add_argument("--a", type=float, help="amplitude for --model param")
     sim.add_argument("--p", type=float, help="decay exponent for --model param")
     sim.add_argument("--coeffs", help="coefficient JSON for --model coeffs")

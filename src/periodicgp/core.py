@@ -252,7 +252,6 @@ class GridPath:
 
     n: int
     values: np.ndarray
-    seed_tag: str | None = None
 
     def __post_init__(self):
         check_grid(self.n)
@@ -290,8 +289,7 @@ class PathEnsemble:
         return int(self.values.shape[0])
 
     def path(self, r: int) -> GridPath:
-        tag = None if self.master_seed is None else f"{self.master_seed}:{r}"
-        return GridPath(self.n, self.values[r], seed_tag=tag)
+        return GridPath(self.n, self.values[r])
 
 
 @dataclass(frozen=True)

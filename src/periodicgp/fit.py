@@ -182,15 +182,19 @@ def fit_mle(path: GridPath, K: int | None = None,
     p_hat, iterations, bracket, converged = _minimize(_slope(T), lo, hi)
     flag = "interior" if lo < p_hat < hi else "boundary"
 
-    with np.errstate(all="ignore"):  # a huge p_hat overflows; refused just below
-        a_sq = profile_amplitude(h, p_hat, K)
-        k = np.arange(1, K + 1, dtype=float)
-        sigma_sq = 2.0 * a_sq * k ** (-2.0 * p_hat)
-        nll = (float(np.sum(T / (2.0 * sigma_sq) + np.log(sigma_sq)))
-               + K * math.log(2.0 * math.pi))
+    def amplitude_nll(p: float):  # inf or nan where a^2(p) or the likelihood overflows
+        with np.errstate(all="ignore"):
+            a_sq = profile_amplitude(h, p, K)
+            sigma_sq = 2.0 * a_sq * np.arange(1, K + 1, dtype=float) ** (-2.0 * p)
+            return a_sq, (float(np.sum(T / (2.0 * sigma_sq) + np.log(sigma_sq)))
+                          + K * math.log(2.0 * math.pi))
+
+    a_sq, nll = amplitude_nll(p_hat)
     if not (math.isfinite(a_sq) and math.isfinite(nll)):
-        raise ValueError(f"no finite amplitude or likelihood at p={p_hat:g}; "
-                         f"narrow the p bounds ({lo:g}, {hi:g})")
+        at_lo = all(map(math.isfinite, amplitude_nll(lo)))  # a^2(p) is least at p-min
+        hint = (f"narrow the p bounds ({lo:g}, {hi:g})" if at_lo else
+                f"the path's scale is out of range even at p-min={lo:g}; rescale the path")
+        raise ValueError(f"no finite amplitude or likelihood at p={p_hat:g}; {hint}")
     return FitResult(
         a_hat=math.sqrt(a_sq),
         p_hat=float(p_hat),

@@ -21,7 +21,7 @@ from .core import (
     RegularityReport,
     SpectralCoefficients,
 )
-from .synthesis import replicate_lag_products, replicate_mean
+from .synthesis import LagEstimate, replicate_lag_products, replicate_mean
 
 # beyond this raw structure-function slope the method saturates: the paths
 # are consistent with differentiability and the halved slope is reported as 1
@@ -72,21 +72,7 @@ def fit_decay(c: SpectralCoefficients, k_min: int = 1, k_max: int | None = None)
                     residual=float(np.sqrt(np.mean(resid ** 2))))
 
 
-@dataclass(frozen=True, eq=False)
-class StructureFunctionTable:
-    """S(h) at chosen grid lags with Monte Carlo standard errors."""
-
-    n: int
-    lags: tuple
-    value: np.ndarray
-    stderr: np.ndarray
-
-    @property
-    def h(self) -> np.ndarray:
-        return np.asarray(self.lags, dtype=float) / self.n
-
-
-def structure_function(e: PathEnsemble, lags) -> StructureFunctionTable:
+def structure_function(e: PathEnsemble, lags) -> LagEstimate:
     """Mean squared increment S(d/n), circularly averaged over t and replicates."""
     d = np.asarray(lags, dtype=int)
     if d.ndim != 1 or d.size == 0:
@@ -95,7 +81,7 @@ def structure_function(e: PathEnsemble, lags) -> StructureFunctionTable:
         raise ValueError("lags must satisfy 1 <= d <= n/2")
     per = replicate_lag_products(e.values, np.concatenate(([0], d)))
     value, stderr = replicate_mean(2.0 * (per[:, :1] - per[:, 1:]))
-    return StructureFunctionTable(e.n, tuple(int(x) for x in d), value, stderr)
+    return LagEstimate(e.n, tuple(int(x) for x in d), value, stderr)
 
 
 @dataclass(frozen=True)
@@ -139,7 +125,7 @@ def estimate_holder(e: PathEnsemble, lags=None) -> HolderEstimate:
     sf = structure_function(e, arr)
     if np.any(sf.value <= 0.0):
         raise DegenerateDataError("nonpositive structure function in window")
-    x = np.log(sf.h)
+    x = np.log(sf.delta)
     y = np.log(sf.value)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -38,8 +38,6 @@ from .core import (
 
 SQRT2 = math.sqrt(2.0)
 
-DEFAULT_EPS = 1e-4
-
 
 def _as_int(value, what: str) -> int:
     """value as a plain int: integer scalars such as np.uint64 convert, floats and bools fail."""
@@ -69,10 +67,6 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.master_seed, self.stream_id])
-
-    @property
-    def tag(self) -> str:
-        return f"{self.master_seed}:{self.stream_id}"
 
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe) hashes a pool of four 32-bit words: hash
@@ -143,7 +137,7 @@ def generators(streams):
     return [rng.generator() for rng in streams]
 
 
-def truncation_index(c: SpectralCoefficients, eps: float = DEFAULT_EPS) -> int:
+def truncation_index(c: SpectralCoefficients, eps: float) -> int:
     """Smallest K whose tail energy 2 sum_{k>K} c_k^2 is <= eps of the total mass.
 
     The declared tail supplies the analytic remainder, so the search is exact
@@ -197,7 +191,7 @@ def _series_rows(c: SpectralCoefficients, K: int, n: int, streams) -> np.ndarray
 
 def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> GridPath:
     """One trajectory of the series truncated at harmonic K, on the grid j/n."""
-    return GridPath(n, _series_rows(c, K, n, [rng])[0], seed_tag=rng.tag)
+    return GridPath(n, _series_rows(c, K, n, [rng])[0])
 
 
 def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsemble:
@@ -244,17 +238,21 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
 
 
 def replicate_mean(per: np.ndarray):
-    """Mean over replicates (axis 0) and its standard error std / sqrt(R), NaN when R = 1."""
+    """Mean over replicates (axis 0) and its standard error std / sqrt(R), NaN when R = 1.
+    Both are taken on each column scaled by one power of two, so that neither the sum nor
+    a squared deviation overflows: the scaling is exact, so both keep their bits."""
     R = per.shape[0]
-    mean = per.mean(axis=0)
+    e = -np.frexp(np.abs(per).max(axis=0))[1]
+    scaled = np.ldexp(per, e)
+    mean = np.ldexp(scaled.mean(axis=0), -e)
     if R == 1:
         return mean, np.full(np.shape(mean), np.nan)
-    return mean, per.std(axis=0, ddof=1) / math.sqrt(R)
+    return mean, np.ldexp(scaled.std(axis=0, ddof=1), -e) / math.sqrt(R)
 
 
 @dataclass(frozen=True, eq=False)
-class CovariogramEstimate:
-    """Monte Carlo covariogram estimate at chosen grid lags, with standard errors."""
+class LagEstimate:
+    """Monte Carlo covariogram or structure function at grid lags, with standard errors."""
 
     n: int
     lags: tuple
@@ -266,8 +264,8 @@ class CovariogramEstimate:
         return np.asarray(self.lags, dtype=float) / self.n
 
 
-def empirical_covariogram(e: PathEnsemble, lags) -> CovariogramEstimate:
+def empirical_covariogram(e: PathEnsemble, lags) -> LagEstimate:
     """Estimate C(d/n) by circular averaging over the grid and the replicates."""
     d = np.asarray(lags, dtype=int)
     value, stderr = replicate_mean(replicate_lag_products(e.values, d))
-    return CovariogramEstimate(e.n, tuple(int(x) for x in d), value, stderr)
+    return LagEstimate(e.n, tuple(int(x) for x in d), value, stderr)

@@ -324,6 +324,8 @@ class TestBadInput:
                             "--K does not apply to --direction c2g"),
         "transform-g2c-grid": (("transform", "--direction", "g2c", "--in", "{cov}",
                                 "--grid", 128), "--grid does not apply to --direction g2c"),
+        # every T_k is finite, but a^2(p) overflows even at p-min, so no bounds can help
+        "fit-path-scale-out-of-range": (("fit", "--in", "{huge}"), "rescale the path"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -334,12 +336,15 @@ class TestBadInput:
         write_coefficients(SpectralCoefficients(1.0, (0.5, 0.25)), valid)
         path = tmp_path / "path.csv"
         write_paths_csv(np.sin(2 * np.pi * np.arange(64) / 64), path)
+        huge = tmp_path / "huge.csv"
+        write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e154, huge)
         cov = tmp_path / "cov.csv"
         spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(), cov, n=64)
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
-        argv = [str(a).format(coeffs=coeffs, valid=valid, path=path, cov=cov) for a in argv]
+        argv = [str(a).format(coeffs=coeffs, valid=valid, path=path, huge=huge, cov=cov)
+                for a in argv]
         assert run(*argv, "--out", out / "x") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err
@@ -404,6 +409,16 @@ class TestOverflowingDftSquares:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="overflow"):
                 call(self._path(R=2))
+
+
+def test_regularity_estimates_a_huge_ensemble_without_a_warning(tmp_path):
+    # lag products of ~1e300 fit the float range; their squared deviations do not
+    path = tmp_path / "p.csv"
+    write_paths_csv(np.random.default_rng(5).standard_normal((2, 64)) * 1e150, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("regularity", "--in", path, "--out", tmp_path / "r.json") == 0
+    assert math.isfinite(json.loads((tmp_path / "r.json").read_text())["holder_estimate"])
 
 
 class TestHeaderOnlyInput:
@@ -570,3 +585,15 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--model"])  # missing value
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("model", ["bridge:nope", "nope"])
+def test_unknown_model_is_a_usage_error_naming_the_choices(model, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", model, "--n", "64", "--seed", "0",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert all(name in err for name in ("param", "coeffs", "bridge:plain", "bridge:centralized"))
+    assert not any(tmp_path.iterdir())

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodicgp import bridge, core, dft, fit, regularity, spectral
+from periodicgp import bridge, core, dft, fit, spectral
 from periodicgp.core import (
     Covariogram,
     GridPath,
@@ -301,8 +301,7 @@ ARRAY_HOLDERS = {
     "PathEnsemble": _small_ensemble,
     "Covariogram": lambda: Covariogram.from_table(np.ones(8)),
     "HarmonicDecomposition": lambda: dft.analyze(GridPath(8, np.arange(8.0))),
-    "CovariogramEstimate": lambda: empirical_covariogram(_small_ensemble(), [0, 1]),
-    "StructureFunctionTable": lambda: regularity.structure_function(_small_ensemble(), [1, 2]),
+    "LagEstimate": lambda: empirical_covariogram(_small_ensemble(), [0, 1]),
     "CoefficientEstimate": lambda: spectral.empirical_coeffs(_small_ensemble(), 2),
     "DecompositionReport": lambda: bridge.decomposition_check(4, 16, M=4, master_seed=1),
 }

@@ -1,6 +1,7 @@
 """Coefficient decay to path regularity, and the empirical estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ class TestStructureFunction:
         target = np.array([2 * (g.at(0.0) - g.at(d / 64)) for d in lags])
         z = (sf.value - target) / sf.stderr
         assert np.max(np.abs(z)) < 3
+
+    def test_same_type_as_the_covariogram_estimate(self):
+        e = PathEnsemble(64, np.cos(np.arange(128.0)).reshape(2, 64), 0)
+        sf = structure_function(e, [1, 4, 16])
+        assert type(sf) is type(synthesis.empirical_covariogram(e, [0, 1]))
+        assert np.array_equal(sf.delta, np.array([1, 4, 16]) / 64)
+
+    def test_stderr_keeps_its_bits_and_stays_finite_at_huge_scale(self):
+        x = np.random.default_rng(5).standard_normal((7, 64))
+        per = synthesis.replicate_lag_products(x, [0, 1, 2])
+        want = (2.0 * (per[:, :1] - per[:, 1:])).std(axis=0, ddof=1) / math.sqrt(7)
+        unit = structure_function(PathEnsemble(64, x), [1, 2])
+        assert np.array_equal(unit.stderr, want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # squared deviations of ~1e300 products overflow
+            huge = structure_function(PathEnsemble(64, x * 1e150), [1, 2])
+        assert np.allclose(huge.stderr / 1e300, unit.stderr, rtol=1e-9, atol=0)
 
     def test_lag_bounds(self):
         e = PathEnsemble(64, np.zeros((1, 64)), 0)

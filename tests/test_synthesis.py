@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from periodicgp.synthesis import (
     RngStream,
     empirical_covariogram,
     replicate_lag_products,
+    replicate_mean,
     sample_ensemble,
     sample_path,
     truncation_index,
@@ -52,7 +54,7 @@ class TestRngStream:
     def test_integer_scalars_are_stored_as_ints(self):
         s = RngStream(np.uint64(2 ** 64 - 1), np.int64(3))
         assert type(s.master_seed) is int and type(s.stream_id) is int
-        assert s == RngStream(2 ** 64 - 1, 3) and s.tag == f"{2 ** 64 - 1}:3"
+        assert s == RngStream(2 ** 64 - 1, 3)
         want = np.random.default_rng([2 ** 64 - 1, 3]).standard_normal(4)
         assert np.array_equal(s.generator().standard_normal(4), want)
 
@@ -299,6 +301,22 @@ class TestReplicateLagProducts:
             for i, d in enumerate(lags):
                 brute = np.mean(values[r] * np.roll(values[r], -d))
                 assert got[r, i] == pytest.approx(brute, rel=1e-12, abs=1e-14)
+
+
+class TestReplicateMean:
+    def test_keeps_the_bits_of_numpy_mean_and_std(self):
+        per = np.random.default_rng(4).standard_normal((9, 3)) * [1.0, 1e-3, 7e5]
+        mean, se = replicate_mean(per)
+        assert np.array_equal(mean, per.mean(axis=0))
+        assert np.array_equal(se, per.std(axis=0, ddof=1) / 3.0)
+
+    def test_near_the_float_range_neither_sum_nor_squares_overflow(self):
+        per = np.array([[1.7e308, 1.0], [1.6e308, 2.0], [1.5e308, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = replicate_mean(per)
+        assert mean == pytest.approx([1.6e308, 7 / 3], rel=1e-15)
+        assert se == pytest.approx([1e307 / math.sqrt(3), per[:, 1].std(ddof=1) / math.sqrt(3)])
 
 
 class TestEmpiricalCovariogram:
