@@ -46,12 +46,21 @@ VARIANTS = ("plain", "centered_shift", "centralized", "centered_series")
 DEFAULT_COEFF_SUPPORT = 512
 
 
-def centered_bridge_covariogram() -> Covariogram:
-    return Covariogram.closed_form("centered_bridge")
+def _bridge_covariogram(n: int, shift: float) -> Covariogram:
+    """(d - 1/2)^2 / 2 + shift tabulated on the grid j/n."""
+    check_grid(n)
+    return Covariogram((np.arange(n) / n - 0.5) ** 2 / 2.0 + shift)
 
 
-def centralized_bridge_covariogram() -> Covariogram:
-    return Covariogram.closed_form("centralized_bridge")
+def centered_bridge_covariogram(n: int) -> Covariogram:
+    """The centered bridge's covariogram on j/n.  The kink at d = 0 sits on a grid
+    point, so 4096 points resolve its cosine coefficients to about 5e-9 each."""
+    return _bridge_covariogram(n, 1.0 / 24.0)
+
+
+def centralized_bridge_covariogram(n: int) -> Covariogram:
+    """The centralized bridge's covariogram on j/n: the centered one less 1/12."""
+    return _bridge_covariogram(n, -1.0 / 24.0)
 
 
 def centered_bridge_coefficients(support: int = DEFAULT_COEFF_SUPPORT) -> SpectralCoefficients:
@@ -208,7 +217,7 @@ def decomposition_check(R: int, n: int, M: int | None = None,
 
     lags = tuple(int(n * j / 16) for j in range(1, 9))
     cov, cov_se = replicate_mean(replicate_lag_products(resid, np.asarray(lags)))
-    target = centralized_bridge_covariogram().at(np.asarray(lags) / n)
+    target = centralized_bridge_covariogram(n).at(np.asarray(lags) / n)
 
     gridpoints = tuple(int(n * j / 8) for j in range(8))
     cols = resid[:, list(gridpoints)]

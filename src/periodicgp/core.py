@@ -175,33 +175,21 @@ def h_norm(c: SpectralCoefficients) -> float:
     return math.sqrt(c.squared_mass())
 
 
-# closed forms (d - 1/2)^2 / 2 + shift of the centered and centralized bridges
-_BRIDGE_SHIFTS = {"centered_bridge": 1.0 / 24.0, "centralized_bridge": -1.0 / 24.0}
-
-
 @dataclass(frozen=True, eq=False)
 class Covariogram:
-    """Stationary covariance C(d) on the circle, closed form or sampled.
+    """Stationary covariance C(d) on the circle: one period on the uniform grid d = j/n.
 
-    Sampled variants store one period on the uniform grid d = j/n.  The
-    constructor checks the symmetry C(d) = C(1 - d) and the dominance
+    The constructor checks the symmetry C(d) = C(1 - d) and the dominance
     C(0) >= |C(d)|, both necessary for positive semidefiniteness; the
     full PSD check happens in the cosine transform.
     """
 
-    kind: str
-    values: np.ndarray | None = None
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.kind in _BRIDGE_SHIFTS:
-            if self.values is not None:
-                raise ValueError(f"closed form {self.kind!r} takes no sample values")
-            return
-        if self.kind != "user_table":
-            raise ValueError(f"unknown covariogram kind {self.kind!r}")
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
-            raise ValueError("sampled covariogram values must be a flat array")
+            raise ValueError("covariogram values must be a flat array")
         check_grid(v.size)
         if not np.all(np.isfinite(v)):
             raise SpectrumError("covariogram values must be finite")
@@ -213,37 +201,18 @@ class Covariogram:
             raise SpectrumError("covariogram maximum must sit at lag zero")
         object.__setattr__(self, "values", _readonly(v))
 
-    @classmethod
-    def closed_form(cls, kind: str) -> "Covariogram":
-        return cls(kind=kind)
-
-    @classmethod
-    def from_table(cls, values) -> "Covariogram":
-        return cls(kind="user_table", values=values)
-
     @property
-    def n(self) -> int | None:
-        return None if self.values is None else int(self.values.size)
+    def n(self) -> int:
+        return int(self.values.size)
 
     def at(self, delta):
-        """Evaluate C at lag(s) delta; sampled variants accept grid lags only."""
+        """Evaluate C at grid lag(s) delta, taken modulo 1."""
         d = np.asarray(delta, dtype=float) % 1.0
-        if self.values is None:
-            return (d - 0.5) ** 2 / 2.0 + _BRIDGE_SHIFTS[self.kind]
         idx = d * self.n
         j = np.rint(idx)
         if np.max(np.abs(idx - j)) > 1e-9:
-            raise ValueError("sampled covariogram evaluated off its grid")
+            raise ValueError("covariogram evaluated off its grid")
         return self.values[j.astype(int) % self.n]
-
-    def sample(self, n: int) -> np.ndarray:
-        """Values on the uniform grid d = j/n for j = 0..n-1."""
-        check_grid(n)
-        if self.values is not None:
-            if n != self.n:
-                raise ValueError("sampled covariogram cannot be resampled")
-            return self.values
-        return self.at(np.arange(n) / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +242,6 @@ class PathEnsemble:
 
     n: int
     values: np.ndarray
-    master_seed: int | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

@@ -30,21 +30,15 @@ from .synthesis import replicate_mean
 DEFAULT_QUADRATURE_GRID = 4096
 
 
-def covariogram_to_coeffs(g: Covariogram, K: int,
-                          n: int = DEFAULT_QUADRATURE_GRID) -> SpectralCoefficients:
+def covariogram_to_coeffs(g: Covariogram, K: int) -> SpectralCoefficients:
     """Extract coefficients c_0..c_K from a covariogram by cosine quadrature.
 
     Parameters
     ----------
     g : Covariogram
-        Closed-form or sampled covariogram.  Sampled inputs fix n to their
-        own grid.
+        The table whose grid is the quadrature grid.
     K : int
-        Largest harmonic to extract; must stay below n/2.
-    n : int
-        Quadrature grid size for closed-form inputs.  The default resolves
-        the kinked bridge covariogram to about 5e-9 absolute error per
-        coefficient, since the kink sits on a grid point.
+        Largest harmonic to extract; must stay below g.n/2.
 
     Returns
     -------
@@ -52,7 +46,7 @@ def covariogram_to_coeffs(g: Covariogram, K: int,
         c_k = sqrt(max(0, quadrature value)).  Mass more negative than the
         clamp tolerance aborts: the input cannot be a covariance function.
     """
-    mass = dft.cosine_table(g.sample(g.n or n), K)
+    mass = dft.cosine_table(g.values, K)
     tol = negative_mass_tolerance(max(float(mass[0]), 0.0))
     worst = float(np.min(mass))
     if worst < -tol:
@@ -87,7 +81,7 @@ def coeffs_to_covariogram(c: SpectralCoefficients, n: int) -> Covariogram:
     values = np.fft.irfft(F, n)
     # grid symmetry can be off by one rounding step; restore it exactly
     values = (values + np.concatenate(([values[0]], values[:0:-1]))) / 2.0
-    return Covariogram.from_table(values)
+    return Covariogram(values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +135,9 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
     )
 
 
-def write_covariogram_csv(g: Covariogram, path, n: int | None = None) -> None:
-    """Write one period as delta,value rows; closed forms need an explicit n."""
-    if g.values is None and n is None:
-        raise ValueError("closed-form covariogram needs an explicit grid size")
-    values = g.sample(g.n or n)
-    write_table_csv("delta,value", [np.arange(values.size) / values.size, values], path)
+def write_covariogram_csv(g: Covariogram, path) -> None:
+    """Write one period as delta,value rows."""
+    write_table_csv("delta,value", [np.arange(g.n) / g.n, g.values], path)
 
 
 def read_covariogram_csv(path) -> Covariogram:
@@ -154,4 +145,4 @@ def read_covariogram_csv(path) -> Covariogram:
     data = read_grid_csv(path, lambda h: h == "delta,value", "header 'delta,value'")
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two columns")
-    return Covariogram.from_table(data[:, 1])
+    return Covariogram(data[:, 1])

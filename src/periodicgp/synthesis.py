@@ -204,7 +204,7 @@ def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsembl
     values = np.empty((R, n))
     for lo, hi in dft.row_chunks(R, width):
         values[lo:hi] = rows([RngStream(master_seed, r) for r in range(lo, hi)])
-    return PathEnsemble(n, values, master_seed=master_seed)
+    return PathEnsemble(n, values)
 
 
 def sample_ensemble(c: SpectralCoefficients, K: int, n: int, R: int,

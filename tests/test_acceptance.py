@@ -27,8 +27,7 @@ from periodicgp.core import (
 
 def test_criterion_1_bridge_coefficient_recovery():
     t0 = time.perf_counter()
-    g = bridge.centered_bridge_covariogram()
-    c = spectral.covariogram_to_coeffs(g, K=32, n=4096)
+    c = spectral.covariogram_to_coeffs(bridge.centered_bridge_covariogram(4096), K=32)
     err_c0 = abs(c.c0**2 - 1 / 12)
     err_ck = max(abs(c.c[k - 1] ** 2 - 1 / (2 * math.pi * k) ** 2)
                  for k in range(1, 33))
@@ -50,7 +49,7 @@ def test_criterion_2_round_trip_isometry():
         raw[rng.uniform(size=support + 1) < 0.15] = 0.0
         c = SpectralCoefficients(raw[0], tuple(raw[1:]))
         g = spectral.coeffs_to_covariogram(c, 4096)
-        back = spectral.covariogram_to_coeffs(g, K=support, n=4096)
+        back = spectral.covariogram_to_coeffs(g, K=support)
         orig = np.concatenate(([c.c0], c.c))
         rec = np.concatenate(([back.c0], back.c))
         scale = max(float(np.max(orig)), 1e-300)
@@ -69,7 +68,7 @@ def test_criterion_3_law_equivalence_of_bridge_constructions():
     t0 = time.perf_counter()
     R, n = 20000, 1024
     lags = [n * j // 32 for j in range(16)]
-    closed = bridge.centered_bridge_covariogram()
+    closed = bridge.centered_bridge_covariogram(n)
     target = np.array([closed.at(d / n) for d in lags])
 
     shift = bridge.bridge_ensemble("centered_shift", R, n, 42)
@@ -198,8 +197,7 @@ def _criterion_9_inputs(directory):
     cfile = directory / "c.json"
     write_coefficients(SpectralCoefficients(1.0, (0.5, 0.25)), cfile)
     gfile = directory / "g.csv"
-    spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(), gfile,
-                                   n=1024)
+    spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(1024), gfile)
     return cfile, gfile
 
 

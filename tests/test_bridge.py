@@ -12,22 +12,32 @@ from periodicgp.synthesis import RngStream, empirical_covariogram
 
 class TestClosedForms:
     def test_centered_bridge_values(self):
-        g = bridge.centered_bridge_covariogram()
+        g = bridge.centered_bridge_covariogram(64)
         assert g.at(0.0) == pytest.approx(1 / 6)
         assert g.at(0.25) == pytest.approx(7 / 96)
         assert g.at(0.5) == pytest.approx(1 / 24)
 
     def test_centralized_bridge_values(self):
-        g = bridge.centralized_bridge_covariogram()
+        g = bridge.centralized_bridge_covariogram(64)
         assert g.at(0.0) == pytest.approx(1 / 12)
         assert g.at(0.25) == pytest.approx(-1 / 96)
         assert g.at(0.5) == pytest.approx(-1 / 24)
 
     def test_variants_differ_by_constant_twelfth(self):
-        a = bridge.centered_bridge_covariogram()
-        b = bridge.centralized_bridge_covariogram()
-        for d in (0.0, 0.1, 0.37, 0.5):
+        a = bridge.centered_bridge_covariogram(64)
+        b = bridge.centralized_bridge_covariogram(64)
+        for d in (0.0, 7 / 64, 23 / 64, 0.5):
             assert a.at(d) - b.at(d) == pytest.approx(1 / 12)
+
+    @pytest.mark.parametrize("n", [4, 64, 4096])
+    @pytest.mark.parametrize("make, shift", [
+        (bridge.centered_bridge_covariogram, 1 / 24),
+        (bridge.centralized_bridge_covariogram, -1 / 24),
+    ], ids=["centered", "centralized"])
+    def test_tabulated_bit_for_bit_on_the_grid(self, make, shift, n):
+        g = make(n)
+        assert g.n == n
+        assert np.array_equal(g.values, (np.arange(n) / n - 0.5) ** 2 / 2 + shift)
 
 
 class TestCenteredBridgeCoefficients:

@@ -1,19 +1,24 @@
 """End-to-end command tests: files, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import periodicgp
 from periodicgp import bridge, dft, fit, spectral, synthesis
-from periodicgp.cli import main
+from periodicgp.cli import build_parser, main
 from periodicgp.core import (
     Covariogram,
     GridPath,
@@ -109,8 +114,7 @@ class TestSimulate:
 class TestTransform:
     def test_bridge_table_to_coefficients(self, tmp_path):
         gfile = tmp_path / "bridge.csv"
-        spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(),
-                                       gfile, n=4096)
+        spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(4096), gfile)
         out = tmp_path / "coef.json"
         assert run("transform", "--direction", "g2c", "--in", gfile,
                    "--out", out, "--K", 32) == 0
@@ -157,7 +161,7 @@ class TestTransform:
     def test_huge_covariogram_checks_without_overflow(self, tmp_path, capsys):
         # ||C|| of 64 values of 1e300 overflows; the residual is taken on scaled vectors
         gfile = tmp_path / "g.csv"
-        spectral.write_covariogram_csv(Covariogram.from_table(np.full(64, 1e300)), gfile)
+        spectral.write_covariogram_csv(Covariogram(np.full(64, 1e300)), gfile)
         out = tmp_path / "c.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -339,7 +343,7 @@ class TestBadInput:
         huge = tmp_path / "huge.csv"
         write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e154, huge)
         cov = tmp_path / "cov.csv"
-        spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(), cov, n=64)
+        spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(64), cov)
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
@@ -468,7 +472,7 @@ class TestSweep:
             "--seed", 11, "--out", out)
         _, values = read_paths_csv(out.with_suffix(".csv"))
         estimates = [
-            estimate_holder(PathEnsemble(4096, values[i][None, :].copy(), 11)).exponent
+            estimate_holder(PathEnsemble(4096, values[i][None, :].copy())).exponent
             for i in range(4)
         ]
         assert all(a <= b for a, b in zip(estimates, estimates[1:]))
@@ -597,3 +601,99 @@ def test_unknown_model_is_a_usage_error_naming_the_choices(model, tmp_path, caps
     assert "invalid choice" in err
     assert all(name in err for name in ("param", "coeffs", "bridge:plain", "bridge:centralized"))
     assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# Generated bad input: a subcommand and a subset of its flags, drawn from the
+# parser's own actions, with values from boundary pools and files from a fixed pool.
+
+def _subcommand_actions():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings and a.dest not in ("help", "out")]
+            for name, p in sub.choices.items()}
+
+
+_COMMANDS = _subcommand_actions()
+_INTS = ["0", "-1", "1", "3", "4", "5", "24", "64", "1000", "1024", str(2 ** 63), str(2 ** 64),
+         "1e300"]
+_FLOATS = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "0.5000001", "1",
+           "1.5", "3", "1e-6"]
+# sizes stay small
+_SIZE_CAPS = {"--n": 1024, "--grid": 1024, "--paths": 4, "--R": 64, "--terms": 10 ** 4}
+_FILES = {
+    "empty": "",
+    "path-header-only": "t,x\n",
+    "table-header-only": "delta,value\n",
+    "ragged": "t,x0,x1\n0,1,2\n0.25,1\n0.5,1,2\n0.75,1,2\n",
+    "nan-cell": "t,x\n0,1\n0.25,nan\n0.5,1\n0.75,2\n",
+    "huge-paths": "t,x0,x1\n" + "".join(f"{j / 8},1e300,-1e300\n" for j in range(8)),
+    "huge-table": "delta,value\n" + "".join(f"{j / 8},1e300\n" for j in range(8)),
+    "wrong-grid": "t,x\n0,1\n0.3,2\n0.5,1\n0.7,2\n",
+    "json-list": "[1, 0.5, 0.25]",
+    "asymmetric-table": "delta,value\n" + "".join(
+        f"{j / 8},{v}\n" for j, v in enumerate([1, 0.5, 0.2, 0.1, 0, 0.1, 0.2, 0.4])),
+    "coefficients": '{"c0": 1, "c": [0.5, 0.25]}',
+}
+_NAMES = [*_FILES, "paths", "table", "missing"]  # and a valid path CSV, a valid table, no file
+
+
+def _size_pool(cap):
+    return [v for v in _INTS if not v.lstrip("-").isdigit() or int(v) <= cap]
+
+
+def _value(action):
+    flag = action.option_strings[0]
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.sampled_from(_size_pool(_SIZE_CAPS[flag]) if flag in _SIZE_CAPS else _INTS)
+    if action.type is float:
+        return st.sampled_from(_FLOATS)
+    if action.dest == "p_list":
+        return st.lists(st.sampled_from(_FLOATS), max_size=3).map(",".join)
+    assert action.dest in ("infile", "coeffs"), f"no value pool for {flag}"
+    valid = ["paths", "table", "coefficients"] * 3  # weighted, so that commands also finish
+    return st.sampled_from([f"{{{name}}}" for name in _NAMES + valid] + ["bridge"])
+
+
+def _flag(action):
+    """None (the flag left out, two times in three) or the flag with a drawn value;
+    required flags, and size flags whose default is above the cap, are always given."""
+    flag = action.option_strings[0]
+    given = st.just(flag) if action.nargs == 0 else _value(action).map(f"{flag}={{}}".format)
+    if action.required or (flag in _SIZE_CAPS and (action.default or 0) > _SIZE_CAPS[flag]):
+        return given
+    return st.one_of(st.just(None), st.just(None), given)
+
+
+_ARGV = st.one_of(*(st.tuples(st.just(name), *map(_flag, actions))
+                    for name, actions in sorted(_COMMANDS.items())))
+
+
+@pytest.fixture(scope="module")
+def file_pool(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pool")
+    for name, text in _FILES.items():
+        (root / name).write_text(text)
+    write_paths_csv(np.random.default_rng(3).standard_normal((2, 64)), root / "paths")
+    spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(64), root / "table")
+    return root
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_ARGV)
+def test_generated_bad_input_exits_cleanly(file_pool, argv):
+    names = {name: file_pool / name for name in _NAMES}
+    argv = [a.format(**names) for a in argv if a is not None]
+    with tempfile.TemporaryDirectory(dir=file_pool) as out, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = main([*argv, f"--out={out}/x"])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        left = sorted(os.listdir(out))
+    assert code in (0, 2, 3, 4, 5), argv
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert code == 0 or not left, (argv, left)

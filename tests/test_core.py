@@ -162,52 +162,35 @@ class TestNegativeMassTolerance:
 
 
 class TestCovariogram:
-    def test_closed_form_centered_bridge(self):
-        g = Covariogram.closed_form("centered_bridge")
-        assert g.at(0.0) == pytest.approx(1 / 6)
-        assert g.at(0.25) == pytest.approx(7 / 96)
-        assert g.at(0.5) == pytest.approx(1 / 24)
-
-    def test_closed_form_is_periodic(self):
-        g = Covariogram.closed_form("centered_bridge")
-        assert g.at(1.3) == pytest.approx(g.at(0.3), rel=1e-12)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Covariogram(kind="mystery")
+    def test_at_takes_lags_modulo_one(self):
+        g = Covariogram(1 + np.cos(2 * np.pi * np.arange(8) / 8))
+        assert g.at(1.25) == g.at(0.25) == g.at(-0.75) == g.values[2]
 
     def test_asymmetric_table_rejected(self):
         v = np.cos(2 * np.pi * np.arange(8) / 8)
         v[3] += 0.1
         with pytest.raises(SpectrumError, match="asymmetric"):
-            Covariogram.from_table(v)
+            Covariogram(v)
 
     def test_lag_zero_dominance_enforced(self):
         delta = np.arange(8) / 8
         v = -np.cos(2 * np.pi * delta)  # peak at delta = 1/2, not 0
         with pytest.raises(SpectrumError, match="lag zero"):
-            Covariogram.from_table(v)
+            Covariogram(v)
 
     def test_table_requires_power_of_two(self):
         with pytest.raises(ValueError):
-            Covariogram.from_table(np.ones(6))
+            Covariogram(np.ones(6))
 
     def test_sampled_at_on_grid(self):
         v = 1 + np.cos(2 * np.pi * np.arange(16) / 16)
-        g = Covariogram.from_table(v)
+        g = Covariogram(v)
         assert g.at(3 / 16) == pytest.approx(v[3])
 
     def test_sampled_at_off_grid_rejected(self):
-        g = Covariogram.from_table(np.ones(8))
+        g = Covariogram(np.ones(8))
         with pytest.raises(ValueError):
             g.at(0.17)
-
-    def test_sample_closed_form(self):
-        g = Covariogram.closed_form("centralized_bridge")
-        v = g.sample(64)
-        assert v.shape == (64,)
-        assert v[0] == pytest.approx(1 / 12)
-        assert v[32] == pytest.approx(-1 / 24)
 
 
 class TestGridPath:
@@ -228,10 +211,10 @@ class TestGridPath:
 class TestPathEnsemble:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            PathEnsemble(8, np.zeros((3, 7)), 0)
+            PathEnsemble(8, np.zeros((3, 7)))
 
     def test_path_accessor(self):
-        e = PathEnsemble(8, np.arange(16.0).reshape(2, 8), 0)
+        e = PathEnsemble(8, np.arange(16.0).reshape(2, 8))
         assert e.R == 2
         assert np.array_equal(e.path(1).values, np.arange(8.0, 16.0))
 
@@ -245,7 +228,8 @@ def _zero_harmonics(n):
 GRID_ENTRIES = {
     "GridPath": lambda n: GridPath(n, np.zeros(n)),
     "PathEnsemble": lambda n: PathEnsemble(n, np.zeros((2, n))),
-    "Covariogram.sample": lambda n: Covariogram.closed_form("centered_bridge").sample(n),
+    "centered_bridge_covariogram": bridge.centered_bridge_covariogram,
+    "centralized_bridge_covariogram": bridge.centralized_bridge_covariogram,
     "sample_path": lambda n: sample_path(SpectralCoefficients(1.0, ()), 0, n, RngStream(0)),
     "sample_ensemble": lambda n: sample_ensemble(SpectralCoefficients(1.0, ()), 0, n, 2, 0),
     **{f"bridge_path:{v}": (lambda n, v=v: bridge.bridge_path(v, n, rng=RngStream(0)))
@@ -292,14 +276,14 @@ class TestParametricModel:
 
 
 def _small_ensemble():
-    return PathEnsemble(16, np.cos(np.arange(32.0)).reshape(2, 16), 0)
+    return PathEnsemble(16, np.cos(np.arange(32.0)).reshape(2, 16))
 
 
 # value types holding arrays: == and hash fall back to identity
 ARRAY_HOLDERS = {
     "GridPath": lambda: GridPath(8, np.zeros(8)),
     "PathEnsemble": _small_ensemble,
-    "Covariogram": lambda: Covariogram.from_table(np.ones(8)),
+    "Covariogram": lambda: Covariogram(np.ones(8)),
     "HarmonicDecomposition": lambda: dft.analyze(GridPath(8, np.arange(8.0))),
     "LagEstimate": lambda: empirical_covariogram(_small_ensemble(), [0, 1]),
     "CoefficientEstimate": lambda: spectral.empirical_coeffs(_small_ensemble(), 2),

@@ -99,7 +99,7 @@ class TestFitDecay:
 
 class TestStructureFunction:
     def test_constant_paths_have_no_increments(self):
-        e = PathEnsemble(64, np.full((3, 64), 2.5), 0)
+        e = PathEnsemble(64, np.full((3, 64), 2.5))
         sf = structure_function(e, [1, 4, 16])
         assert np.allclose(sf.value, 0.0)
 
@@ -124,7 +124,7 @@ class TestStructureFunction:
         assert np.max(np.abs(z)) < 3
 
     def test_same_type_as_the_covariogram_estimate(self):
-        e = PathEnsemble(64, np.cos(np.arange(128.0)).reshape(2, 64), 0)
+        e = PathEnsemble(64, np.cos(np.arange(128.0)).reshape(2, 64))
         sf = structure_function(e, [1, 4, 16])
         assert type(sf) is type(synthesis.empirical_covariogram(e, [0, 1]))
         assert np.array_equal(sf.delta, np.array([1, 4, 16]) / 64)
@@ -141,7 +141,7 @@ class TestStructureFunction:
         assert np.allclose(huge.stderr / 1e300, unit.stderr, rtol=1e-9, atol=0)
 
     def test_lag_bounds(self):
-        e = PathEnsemble(64, np.zeros((1, 64)), 0)
+        e = PathEnsemble(64, np.zeros((1, 64)))
         with pytest.raises(ValueError):
             structure_function(e, [0])
         with pytest.raises(ValueError):
@@ -186,11 +186,11 @@ class TestEstimateHolder:
         assert est.exponent <= 1.0
 
     def test_window_needs_four_lags(self):
-        e = PathEnsemble(16, np.random.default_rng(0).standard_normal((2, 16)), 0)
+        e = PathEnsemble(16, np.random.default_rng(0).standard_normal((2, 16)))
         with pytest.raises(ValueError):
             estimate_holder(e)
 
     def test_constant_ensemble_rejected(self):
-        e = PathEnsemble(1024, np.ones((2, 1024)), 0)
+        e = PathEnsemble(1024, np.ones((2, 1024)))
         with pytest.raises(ValueError):
             estimate_holder(e)

@@ -29,21 +29,21 @@ def _grid(n):
 
 class TestCovariogramToCoeffs:
     def test_constant_covariogram_is_pure_variance(self):
-        g = Covariogram.from_table(np.full(256, 2.25))
+        g = Covariogram(np.full(256, 2.25))
         c = covariogram_to_coeffs(g, K=5)
         assert c.c0 == pytest.approx(1.5)
         assert np.allclose(c.c, 0.0)
 
     def test_single_cosine(self):
-        g = Covariogram.from_table(2 * np.cos(2 * np.pi * _grid(1024)))
+        g = Covariogram(2 * np.cos(2 * np.pi * _grid(1024)))
         c = covariogram_to_coeffs(g, K=8)
         assert c.c[0] == pytest.approx(1.0, abs=1e-10)
         assert np.max(np.abs(c.c[1:])) < 1e-10
         assert c.c0 == pytest.approx(0.0, abs=1e-10)
 
     def test_bridge_closed_form_recovers_known_spectrum(self):
-        g = bridge.centered_bridge_covariogram()
-        c = covariogram_to_coeffs(g, K=8, n=4096)
+        g = bridge.centered_bridge_covariogram(4096)
+        c = covariogram_to_coeffs(g, K=8)
         assert c.c0**2 == pytest.approx(1 / 12, abs=1e-7)
         for k in range(1, 9):
             assert c.c[k - 1] ** 2 == pytest.approx(1 / (2 * math.pi * k) ** 2,
@@ -51,7 +51,7 @@ class TestCovariogramToCoeffs:
 
     @pytest.mark.parametrize("K, error", [(-1, ValueError), (128, AliasingError)])
     def test_harmonic_count_checked(self, K, error):
-        g = Covariogram.from_table(np.full(256, 2.25))
+        g = Covariogram(np.full(256, 2.25))
         with pytest.raises(error) as info:
             covariogram_to_coeffs(g, K=K)
         assert type(info.value) is error
@@ -60,14 +60,14 @@ class TestCovariogramToCoeffs:
         # symmetric, lag-zero dominant, but one harmonic carries mass -0.02
         d = _grid(1024)
         v = 1 + np.cos(2 * np.pi * d) - 0.02 * np.cos(2 * np.pi * 5 * d)
-        g = Covariogram.from_table(v)
+        g = Covariogram(v)
         with pytest.raises(SpectrumError, match="not positive semidefinite"):
             covariogram_to_coeffs(g, K=8)
 
     def test_borderline_negative_mass_clamps_with_warning(self):
         d = _grid(1024)
         v = 1 + 0.5 * np.cos(2 * np.pi * d) - 5e-10 * np.cos(2 * np.pi * 3 * d)
-        g = Covariogram.from_table(v)
+        g = Covariogram(v)
         with pytest.warns(UserWarning):
             c = covariogram_to_coeffs(g, K=4)
         assert c.c[2] == 0.0
@@ -109,7 +109,7 @@ class TestRoundTrips:
             raw[rng.uniform(size=support + 1) < 0.2] = 0.0
             c = SpectralCoefficients(raw[0], tuple(raw[1:]))
             g = coeffs_to_covariogram(c, 4096)
-            back = covariogram_to_coeffs(g, K=support, n=4096)
+            back = covariogram_to_coeffs(g, K=support)
             orig = np.concatenate(([c.c0], c.c))
             rec = np.concatenate(([back.c0], back.c))
             assert np.max(np.abs(rec - orig)) < 1e-8 * max(np.max(orig), 1e-12)
@@ -119,7 +119,7 @@ class TestRoundTrips:
         raw = rng.uniform(0, 1, size=33)
         c = SpectralCoefficients(raw[0], tuple(raw[1:]))
         g = coeffs_to_covariogram(c, 256)
-        back = coeffs_to_covariogram(covariogram_to_coeffs(g, K=32, n=256), 256)
+        back = coeffs_to_covariogram(covariogram_to_coeffs(g, K=32), 256)
         rel = np.max(np.abs(back.values - g.values)) / np.max(np.abs(g.values))
         assert rel < 1e-8
 
@@ -133,14 +133,14 @@ class TestRoundTrips:
 
 class TestEmpiricalCoeffs:
     def test_zero_ensemble(self):
-        e = PathEnsemble(16, np.zeros((4, 16)), 0)
+        e = PathEnsemble(16, np.zeros((4, 16)))
         est = empirical_coeffs(e, 4)
         assert est.c0_sq == 0.0
         assert np.allclose(est.c_sq, 0.0)
 
     @pytest.mark.parametrize("K, error", [(-1, ValueError), (8, AliasingError)])
     def test_harmonic_count_checked(self, K, error):
-        e = PathEnsemble(16, np.zeros((4, 16)), 0)
+        e = PathEnsemble(16, np.zeros((4, 16)))
         with pytest.raises(error) as info:
             empirical_coeffs(e, K)
         assert type(info.value) is error
@@ -149,7 +149,7 @@ class TestEmpiricalCoeffs:
         # path sqrt(2) sin(2 pi t) is the unit-coefficient draw Y_1 = 1, so
         # a single replicate reports c_1^2 = (Y_1^2 + Y_1'^2)/2 = 1/2
         t = _grid(64)
-        e = PathEnsemble(64, (math.sqrt(2) * np.sin(2 * np.pi * t))[None, :], 0)
+        e = PathEnsemble(64, (math.sqrt(2) * np.sin(2 * np.pi * t))[None, :])
         est = empirical_coeffs(e, 3)
         assert est.c_sq[0] == pytest.approx(0.5, rel=1e-12)
         assert np.allclose(est.c_sq[1:], 0.0, atol=1e-28)
@@ -164,7 +164,7 @@ class TestEmpiricalCoeffs:
 
     def test_coefficients_accessor_takes_square_roots(self):
         t = _grid(32)
-        e = PathEnsemble(32, (2.0 + 0 * t)[None, :], 0)
+        e = PathEnsemble(32, (2.0 + 0 * t)[None, :])
         est = empirical_coeffs(e, 2)
         got = est.coefficients()
         assert got.c0 == pytest.approx(2.0)
@@ -182,7 +182,7 @@ class TestCovariogramCsv:
 
     def test_closed_form_written_on_grid(self, tmp_path):
         f = tmp_path / "b.csv"
-        write_covariogram_csv(bridge.centered_bridge_covariogram(), f, n=128)
+        write_covariogram_csv(bridge.centered_bridge_covariogram(128), f)
         back = read_covariogram_csv(f)
         assert back.at(0.5) == pytest.approx(1 / 24, rel=1e-12)
 

@@ -321,12 +321,12 @@ class TestReplicateMean:
 
 class TestEmpiricalCovariogram:
     def test_zero_ensemble(self):
-        e = PathEnsemble(8, np.zeros((3, 8)), 0)
+        e = PathEnsemble(8, np.zeros((3, 8)))
         est = empirical_covariogram(e, [0, 1, 4])
         assert np.allclose(est.value, 0.0)
 
     def test_constant_path_gives_square(self):
-        e = PathEnsemble(8, np.full((1, 8), 3.0), 0)
+        e = PathEnsemble(8, np.full((1, 8), 3.0))
         est = empirical_covariogram(e, [0, 2, 4])
         assert np.allclose(est.value, 9.0)
         assert np.all(np.isnan(est.stderr))  # one replicate: no spread estimate
@@ -335,19 +335,19 @@ class TestEmpiricalCovariogram:
         # the estimator averages over all circular offsets already
         rng = np.random.default_rng(8)
         values = rng.standard_normal((4, 32))
-        e = PathEnsemble(32, values, 0)
-        shifted = PathEnsemble(32, np.roll(values, 11, axis=1), 0)
+        e = PathEnsemble(32, values)
+        shifted = PathEnsemble(32, np.roll(values, 11, axis=1))
         a = empirical_covariogram(e, [0, 3, 16])
         b = empirical_covariogram(shifted, [0, 3, 16])
         assert np.allclose(a.value, b.value, rtol=1e-12, atol=1e-14)
 
     def test_lag_bounds_checked(self):
-        e = PathEnsemble(8, np.zeros((1, 8)), 0)
+        e = PathEnsemble(8, np.zeros((1, 8)))
         with pytest.raises(ValueError):
             empirical_covariogram(e, [8])
 
     def test_delta_property(self):
-        e = PathEnsemble(8, np.zeros((1, 8)), 0)
+        e = PathEnsemble(8, np.zeros((1, 8)))
         est = empirical_covariogram(e, [0, 4])
         assert np.allclose(est.delta, [0.0, 0.5])
 
