@@ -9,6 +9,7 @@ seed is drawn once and printed so the run can be reproduced.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -138,15 +139,9 @@ def cmd_transform(args) -> None:
         write_json({"round_trip_residual": residual}, f"{args.out}.check.json")
 
 
-def _load_single_path(infile: str, column: int) -> GridPath:
-    t, values = read_paths_csv(infile)
-    if not (0 <= column < values.shape[0]):
-        raise ValueError(f"column {column} out of range, file has {values.shape[0]}")
-    return GridPath(t.size, values[column])
-
-
 def cmd_fit(args) -> None:
-    path = _load_single_path(args.infile, args.column)
+    t, values = read_paths_csv(args.infile, args.column)
+    path = GridPath(t.size, values[0])
     result = fit.fit_mle(path, K=args.K, p_bounds=(args.p_min, args.p_max))
     h = dft.analyze(path)
     residuals = fit.standardized_residuals(h, result)
@@ -270,7 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ft = sub.add_parser("fit", help="maximum-likelihood (a, p) from a path CSV")
     ft.add_argument("--in", dest="infile", required=True, help="path CSV")
-    ft.add_argument("--column", type=int, default=0, help="replicate column to fit")
+    ft.add_argument("--column", type=int, default=0,
+                    help="replicate column to fit; only t and this column are converted, "
+                         "and every row must have the first data row's field count")
     ft.add_argument("--K", type=int, help="harmonics in the likelihood, default n/4")
     ft.add_argument("--p-min", type=float, default=fit.DEFAULT_P_BOUNDS[0])
     ft.add_argument("--p-max", type=float, default=fit.DEFAULT_P_BOUNDS[1])
@@ -313,8 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, not at import
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, OSError) as exc:

@@ -427,14 +427,14 @@ def write_coefficients(c: SpectralCoefficients, path) -> None:
 
 
 def read_coefficients(path) -> SpectralCoefficients:
-    with open(path) as fh:
-        data = json.load(fh)
     try:
+        with open(path) as fh:
+            data = json.load(fh)
         raw = [data["c0"], *data["c"]]
         tail = data.get("tail")
         decay = None if tail is None else TailDecay(q=float(tail["q"]), const=float(tail["const"]))
         return validate_coefficients(raw, declared_tail=decay)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed coefficient file {path}: {exc}") from exc
 
 
@@ -446,18 +446,35 @@ def write_paths_csv(values: np.ndarray, path) -> None:
     write_table_csv(header, [np.arange(n) / n, *v], path)
 
 
-def read_grid_csv(path, header_ok, expected: str) -> np.ndarray:
-    """Rows of a CSV table whose first column is the grid j/n, n a power of two."""
+def _rows_of_width(lines, commas: int, path, first: int):
+    """The lines, each checked to have commas + 1 fields unless blank once '#' is cut."""
+    for number, line in enumerate(lines, first):
+        cells = line.partition("#")[0]
+        if cells.count(",") != commas and cells.strip():
+            raise ValueError(f"{path}: line {number} has {cells.count(',') + 1} fields, "
+                             f"the first data row {commas + 1}")
+        yield line
+
+
+def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
+    """Rows of a CSV table whose first column is the grid j/n, n a power of two; with a
+    column, only the grid and that value column, after every row's field count is checked."""
     with open(path) as fh:
         if not header_ok(fh.readline().strip()):
             raise ValueError(f"{path}: expected {expected}")
-        line = fh.readline()
+        line, number = fh.readline(), 2
         while line and not line.split("#", 1)[0].strip():  # lines loadtxt skips
-            line = fh.readline()
+            line, number = fh.readline(), number + 1
         if not line:
             raise ValueError(f"{path}: no data rows after the header")
         # chain, not seek: the input may be a pipe
-        data = np.loadtxt(itertools.chain([line], fh), delimiter=",", ndmin=2)
+        rows, usecols = itertools.chain([line], fh), None
+        if column is not None:
+            commas = line.partition("#")[0].count(",")
+            if not 0 <= column < commas:
+                raise ValueError(f"column {column} out of range, file has {commas}")
+            rows, usecols = _rows_of_width(rows, commas, path, number), (0, column + 1)
+        data = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=usecols)
     n = data.shape[0]
     if not is_power_of_two(n):
         raise ValueError(f"{path}: grid size {n} is not a power of two")
@@ -466,7 +483,8 @@ def read_grid_csv(path, header_ok, expected: str) -> np.ndarray:
     return data
 
 
-def read_paths_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a path CSV; returns (t, values) with values shaped (R, n)."""
-    data = read_grid_csv(path, lambda h: h.startswith("t,"), "a header starting with 't,'")
+def read_paths_csv(path, column=None) -> tuple[np.ndarray, np.ndarray]:
+    """Read a path CSV; returns (t, values) with values shaped (R, n), or (1, n) holding
+    value column `column` alone when one is given."""
+    data = read_grid_csv(path, lambda h: h.startswith("t,"), "a header starting with 't,'", column)
     return data[:, 0], data[:, 1:].T

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -215,6 +216,89 @@ class TestFitCommand:
         assert "degenerate" in capsys.readouterr().err
 
 
+class TestFitReadsOneColumn:
+    """fit converts only t and --column, after checking every row's field count."""
+
+    @staticmethod
+    def _wide(tmp_path):
+        """Rows of a four-path CSV with a comment line, a blank line and a trailing comment."""
+        sim = tmp_path / "sim"
+        assert run("simulate", "--model", "param", "--a", 1, "--p", 1.5, "--n", 64,
+                   "--paths", 4, "--seed", 3, "--out", sim) == 0
+        lines = sim.with_suffix(".csv").read_text().splitlines(keepends=True)
+        lines[1:1] = ["# four replicates\n"]
+        lines[20:20] = ["\n"]
+        lines[30] = lines[30].rstrip("\n") + " # note, with a comma\n"
+        return lines
+
+    @staticmethod
+    def _fit(tmp_path, name, lines, column):
+        """fit's exit code and output bytes (None if it wrote none) for the given rows."""
+        f = tmp_path / f"{name}.csv"
+        f.write_text("".join(lines))
+        out = tmp_path / name
+        code = run("fit", "--in", f, "--column", column, "--out", out)
+        files = (out.with_suffix(".json"), tmp_path / f"{name}.residuals.csv")
+        return code, [p.read_bytes() if p.exists() else None for p in files]
+
+    @staticmethod
+    def _cells(line):
+        return line.partition("#")[0].strip().split(",")
+
+    def test_each_column_fits_as_a_two_column_file(self, tmp_path):
+        lines = self._wide(tmp_path)
+        rows = [self._cells(x) for x in lines[1:] if self._cells(x) != [""]]
+        for c in range(4):
+            narrow = ["t,x\n"] + [f"{r[0]},{r[c + 1]}\n" for r in rows]
+            code, wide_out = self._fit(tmp_path, f"wide{c}", lines, c)
+            assert code == 0
+            assert (0, wide_out) == self._fit(tmp_path, f"narrow{c}", narrow, 0)
+
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_a_row_of_another_width_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                             column, change):
+        lines = self._wide(tmp_path)
+        cells = self._cells(lines[40])
+        lines[40] = ",".join(cells[:-1] if change == "short" else cells + ["0"]) + "\n"
+        assert self._fit(tmp_path, "ragged", lines, column) == (2, [None, None])
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'ragged.csv'}: line 41 has" in err
+
+    def test_non_numeric_cell_stops_only_the_fit_of_its_column(self, tmp_path, capsys):
+        lines = self._wide(tmp_path)
+        clean = [self._fit(tmp_path, f"clean{c}", lines, c) for c in range(4)]
+        assert [code for code, _ in clean] == [0] * 4
+        cells = self._cells(lines[40])
+        cells[3] = "abc"  # value column 2
+        lines[40] = ",".join(cells) + "\n"
+        for c in range(4):
+            expected = (2, [None, None]) if c == 2 else clean[c]
+            assert self._fit(tmp_path, f"bad{c}", lines, c) == expected
+        assert "abc" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
+    def test_reads_a_column_from_a_pipe(self, tmp_path):
+        lines = self._wide(tmp_path)
+        code, expected = self._fit(tmp_path, "file", lines, 2)
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("".join(lines),),
+                                  daemon=True)  # never blocks the test run on a failed read
+        writer.start()
+        assert run("fit", "--in", fifo, "--column", 2, "--out", tmp_path / "pipe") == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == 0
+        assert [(tmp_path / f).read_bytes() for f in ("pipe.json", "pipe.residuals.csv")] \
+            == expected
+
+    @pytest.mark.parametrize("column", [4, -1])
+    def test_out_of_range_column_keeps_its_message(self, tmp_path, capsys, column):
+        assert self._fit(tmp_path, "wide", self._wide(tmp_path), column) == (2, [None, None])
+        assert f"column {column} out of range, file has 4" in capsys.readouterr().err
+
+
 class TestRegularityCommand:
     def test_bridge_coefficients_report(self, tmp_path):
         out = tmp_path / "reg.json"
@@ -352,6 +436,28 @@ class TestBadInput:
         assert run(*argv, "--out", out / "x") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err
+        assert not any(out.iterdir())
+
+
+class TestCoefficientFileNotJson:
+    COMMANDS = {
+        "transform-c2g": ("transform", "--direction", "c2g", "--in", "{f}", "--grid", 64),
+        "regularity": ("regularity", "--coeffs", "{f}"),
+        "simulate": ("simulate", "--model", "coeffs", "--coeffs", "{f}", "--n", 64,
+                     "--seed", 0),
+    }
+
+    @pytest.mark.parametrize("content", [b"c0 = 1\n", b"\xff\xfe{}"], ids=["text", "binary"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_two_naming_the_file(self, tmp_path, capsys, command, content):
+        f = tmp_path / "coeffs.txt"
+        f.write_bytes(content)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [str(a).format(f=f) for a in self.COMMANDS[command]]
+        assert run(*argv, "--out", out / "x") == 2
+        err = capsys.readouterr().err
+        assert f"malformed coefficient file {f}" in err and "Traceback" not in err
         assert not any(out.iterdir())
 
 
@@ -589,6 +695,19 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--model"])  # missing value
     assert exc.value.code == 2
+
+
+def test_main_builds_its_parser_once_and_defaults_stay_fresh(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: parsers.append(self) or parse_args(self, *args))
+    for name, paths in (("a", ("--paths", 3)), ("b", ())):
+        assert run("simulate", "--model", "param", "--a", 1, "--p", 1.5, "--n", 64,
+                   *paths, "--seed", 0, "--out", tmp_path / name) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    assert json.loads((tmp_path / "b.meta.json").read_text())["paths"] == 1
+    assert (tmp_path / "b.csv").read_text().startswith("t,x\n")
 
 
 @pytest.mark.parametrize("model", ["bridge:nope", "nope"])

@@ -172,6 +172,12 @@ class TestCovariogram:
         with pytest.raises(SpectrumError, match="asymmetric"):
             Covariogram(v)
 
+    def test_asymmetry_of_a_millionth_of_the_scale_rejected(self):
+        v = 1 + np.cos(2 * np.pi * np.arange(8) / 8)
+        v[3] += 1e-6 * np.max(np.abs(v))
+        with pytest.raises(SpectrumError, match="asymmetric"):
+            Covariogram(v)
+
     def test_lag_zero_dominance_enforced(self):
         delta = np.arange(8) / 8
         v = -np.cos(2 * np.pi * delta)  # peak at delta = 1/2, not 0
@@ -431,6 +437,14 @@ class TestFileFormats:
         t, values = read_paths_csv(f)
         assert np.array_equal(t, [0.0, 0.5])
         assert np.array_equal(values, [[1.5, -2.0]])
+
+    def test_one_column_read_matches_the_full_read(self, tmp_path):
+        f = tmp_path / "p.csv"
+        write_paths_csv(np.random.default_rng(4).standard_normal((3, 16)), f)
+        t, values = read_paths_csv(f)
+        for c in range(3):
+            tc, vc = read_paths_csv(f, c)
+            assert np.array_equal(tc, t) and np.array_equal(vc, values[c:c + 1])
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
     def test_reads_a_path_csv_from_a_pipe(self, tmp_path):

@@ -155,6 +155,11 @@ class TestTruncationIndex:
         c = SpectralCoefficients(1.0, (0.0, 0.0))
         assert truncation_index(c, 0.5) == 0
 
+    def test_tail_exactly_at_the_budget_meets_it(self):
+        # the tail beyond K = 1 holds 2 of the mass 4, exactly eps = 0.5 of it
+        c = SpectralCoefficients(0.0, (1.0, 1.0))
+        assert truncation_index(c, 0.5) == 1
+
     def test_one_over_k_at_one_percent(self):
         tail = TailDecay(q=2.0, const=1.0)
         c = SpectralCoefficients(0.0, tuple(1.0 / k for k in range(1, 201)),
