@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trunc", type=int,
                      help="explicit truncation (series harmonics, or sine modes for bridges)")
     sim.add_argument("--out", required=True, help="output prefix: writes .csv and .meta.json")
-    sim.set_defaults(func=cmd_simulate)
 
     tr = sub.add_parser("transform", help="covariogram <-> coefficient transforms")
     tr.add_argument("--direction", required=True, choices=("c2g", "g2c"))
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"grid size for c2g output, default {spectral.DEFAULT_QUADRATURE_GRID}")
     tr.add_argument("--check", action="store_true",
                     help="also write a round-trip residual to OUT.check.json")
-    tr.set_defaults(func=cmd_transform)
 
     ft = sub.add_parser("fit", help="maximum-likelihood (a, p) from a path CSV")
     ft.add_argument("--in", dest="infile", required=True, help="path CSV")
@@ -273,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--p-max", type=float, default=fit.DEFAULT_P_BOUNDS[1])
     ft.add_argument("--out", required=True,
                     help="output prefix: writes .json and .residuals.csv")
-    ft.set_defaults(func=cmd_fit)
 
     rg = sub.add_parser("regularity", help="predicted or estimated path regularity")
     rg.add_argument("--coeffs",
@@ -282,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--k-min", type=int, help="first harmonic fitted (--coeffs only), default 1")
     rg.add_argument("--k-max", type=int, help="last harmonic fitted (--coeffs only), default all")
     rg.add_argument("--out", required=True, help="output JSON file")
-    rg.set_defaults(func=cmd_regularity)
 
     bc = sub.add_parser("bridge-check",
                         help="decomposition and series-identity checks for the centered bridge")
@@ -292,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--seed", type=int, default=0)
     bc.add_argument("--terms", type=int, default=10 ** 6, help="identity partial-sum length")
     bc.add_argument("--out", required=True, help="output JSON file")
-    bc.set_defaults(func=cmd_bridge_check)
 
     sw = sub.add_parser("sweep",
                         help="one path per p over a shared Gaussian event, wide CSV")
@@ -306,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--trunc", type=int,
                     help="shared truncation; default fills the band below Nyquist")
     sw.add_argument("--out", required=True, help="output prefix: writes .csv and .meta.json")
-    sw.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -316,7 +310,8 @@ _parser = functools.cache(build_parser)  # built on the first main call, not at 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        args.func(args)
+        # looked up per call, not held by the cached parser, so a rebound cmd_* is reached
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         codes = {AliasingError: 3, SpectrumError: 4, DegenerateDataError: 5}

@@ -450,8 +450,8 @@ def _rows_of_width(lines, commas: int, path, first: int):
     """The lines, each checked to have commas + 1 fields unless blank once '#' is cut."""
     for number, line in enumerate(lines, first):
         cells = line.partition("#")[0]
-        if cells.count(",") != commas and cells.strip():
-            raise ValueError(f"{path}: line {number} has {cells.count(',') + 1} fields, "
+        if (found := cells.count(",")) != commas and cells.strip():
+            raise ValueError(f"{path}: line {number} has {found + 1} fields, "
                              f"the first data row {commas + 1}")
         yield line
 
@@ -463,7 +463,7 @@ def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
         if not header_ok(fh.readline().strip()):
             raise ValueError(f"{path}: expected {expected}")
         line, number = fh.readline(), 2
-        while line and not line.split("#", 1)[0].strip():  # lines loadtxt skips
+        while line and not line.partition("#")[0].strip():  # lines loadtxt skips
             line, number = fh.readline(), number + 1
         if not line:
             raise ValueError(f"{path}: no data rows after the header")

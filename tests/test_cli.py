@@ -710,6 +710,24 @@ def test_main_builds_its_parser_once_and_defaults_stay_fresh(tmp_path, monkeypat
     assert (tmp_path / "b.csv").read_text().startswith("t,x\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "param", "--out", "x"],
+    ["transform", "--direction", "c2g", "--in", "x", "--out", "x"],
+    ["fit", "--in", "x", "--out", "x"],
+    ["regularity", "--out", "x"],
+    ["bridge-check", "--out", "x"],
+    ["sweep", "--p-list", "1.5", "--out", "x"],
+], ids=lambda argv: argv[0])
+def test_main_reaches_a_command_rebound_after_the_parser_is_built(argv, tmp_path, monkeypatch):
+    # a tracer rebinds cli.cmd_* after a warm-up call has built the cached parser
+    import periodicgp.cli as cli
+    assert run("regularity", "--coeffs", "bridge", "--out", tmp_path / "warm.json") == 0
+    reached = []
+    monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), reached.append)
+    assert main(argv) == 0
+    assert [a.command for a in reached] == [argv[0]]
+
+
 @pytest.mark.parametrize("model", ["bridge:nope", "nope"])
 def test_unknown_model_is_a_usage_error_naming_the_choices(model, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
