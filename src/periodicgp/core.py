@@ -446,35 +446,45 @@ def write_paths_csv(values: np.ndarray, path) -> None:
     write_table_csv(header, [np.arange(n) / n, *v], path)
 
 
-def _rows_of_width(lines, commas: int, path, first: int):
-    """The lines, each checked to have commas + 1 fields unless blank once '#' is cut."""
+def _cells(line: str) -> str:  # np.loadtxt skips a line if this is empty
+    return line.partition("#")[0].rstrip("\r\n")
+
+
+def _rows_of_width(lines, commas: int, first: int):
+    """The lines, each checked to have commas + 1 fields unless loadtxt skips it."""
     for number, line in enumerate(lines, first):
-        cells = line.partition("#")[0]
-        if (found := cells.count(",")) != commas and cells.strip():
-            raise ValueError(f"{path}: line {number} has {found + 1} fields, "
+        cells = _cells(line)
+        if (found := cells.count(",")) != commas and cells:
+            raise ValueError(f"line {number} has {found + 1} fields, "
                              f"the first data row {commas + 1}")
         yield line
 
 
 def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
     """Rows of a CSV table whose first column is the grid j/n, n a power of two; with a
-    column, only the grid and that value column, after every row's field count is checked."""
+    column, only the grid and that value column, after every row's field count is checked.
+    Only lines that are empty once the '#' comment is cut are skipped, as np.loadtxt does."""
     with open(path) as fh:
         if not header_ok(fh.readline().strip()):
             raise ValueError(f"{path}: expected {expected}")
         line, number = fh.readline(), 2
-        while line and not line.partition("#")[0].strip():  # lines loadtxt skips
+        while line and not _cells(line):
             line, number = fh.readline(), number + 1
         if not line:
             raise ValueError(f"{path}: no data rows after the header")
+        if not (first := _cells(line)).strip():
+            raise ValueError(f"{path}: line {number} is blank but not empty")
         # chain, not seek: the input may be a pipe
         rows, usecols = itertools.chain([line], fh), None
         if column is not None:
-            commas = line.partition("#")[0].count(",")
+            commas = first.count(",")
             if not 0 <= column < commas:
                 raise ValueError(f"column {column} out of range, file has {commas}")
-            rows, usecols = _rows_of_width(rows, commas, path, number), (0, column + 1)
-        data = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=usecols)
+            rows, usecols = _rows_of_width(rows, commas, number), (0, column + 1)
+        try:
+            data = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=usecols)
+        except ValueError as exc:  # loadtxt's "row R" counts data rows only
+            raise ValueError(f"{path}: {exc} (the first data row is line {number})") from exc
     n = data.shape[0]
     if not is_power_of_two(n):
         raise ValueError(f"{path}: grid size {n} is not a power of two")

@@ -230,22 +230,22 @@ def standardized_residuals(h: dft.HarmonicDecomposition, result: FitResult) -> n
 
 
 def _ks_pvalue(D: float, n: int) -> float:
-    """P(D_n >= D) from the kernel kstwo.sf calls, without kstwo's argument handling."""
-    from scipy.stats._ksstats import _kolmogn  # lazy: most of the CLI's import time
+    """P(D_n >= D), the exact two-sided Kolmogorov tail that kstwo.sf computes."""
+    from . import _kolmogorov  # lazy: it imports scipy.special
 
-    return float(np.clip(_kolmogn(n, D, cdf=False), 0.0, 1.0))
+    return float(np.clip(_kolmogorov.sf(n, D), 0.0, 1.0))
 
 
 def residual_report(r: np.ndarray) -> GoodnessReport:
     """Dispersion and one-sample two-sided KS test of residuals against Exp(1).
 
     The KS statistic and its exact p-value are those of
-    scipy.stats.kstest(r, "expon"), computed without its argument handling.
-    The p-value comes straight from scipy's exact Kolmogorov kernel (Simard &
-    L'Ecuyer, J. Stat. Softw. 39(11), 2011), the function kstwo.sf calls;
-    _kolmogn is a private scipy name, pinned bit for bit against kstwo.sf by a
-    differential test in tests/test_fit.py.  scipy.special and scipy.stats are
-    imported on the first call, so that no other command pays their import time.
+    scipy.stats.kstest(r, "expon"), computed without scipy.stats.  The
+    p-value comes from _kolmogorov, a port of scipy's exact Kolmogorov kernel
+    (Simard & L'Ecuyer, J. Stat. Softw. 39(11), 2011), pinned bit for bit
+    against kstwo.sf by a differential test in tests/test_fit.py.
+    scipy.special is imported on the first call, so that no other command
+    pays its import time.
     """
     from scipy.special import expm1
 

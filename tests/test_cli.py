@@ -550,6 +550,60 @@ class TestHeaderOnlyInput:
         assert not caught
 
 
+class TestSkippedLines:
+    """A reader skips a line only if it is empty once its '#' comment is cut, as loadtxt
+    does, so a blank-looking line is refused wherever it sits."""
+
+    COMMANDS = {"fit": ("fit",), "regularity": ("regularity",),
+                "g2c": ("transform", "--direction", "g2c", "--K", 8)}
+
+    @classmethod
+    def _run(cls, tmp_path, command, extra, at):
+        """Exit code, and whether an output was written, with `extra` inserted as line `at`."""
+        f = tmp_path / "in.csv"
+        if command == "g2c":
+            spectral.write_covariogram_csv(spectral.coeffs_to_covariogram(
+                SpectralCoefficients(1.0, (0.5, 0.25, 0.125)), 64), f)
+        else:
+            write_paths_csv(np.random.default_rng(3).standard_normal((3, 64)), f)
+        lines = f.read_text().splitlines(keepends=True)
+        lines[at - 1:at - 1] = [extra]
+        f.write_text("".join(lines))
+        out = tmp_path / "out"
+        code = run(*cls.COMMANDS[command], "--in", f, "--out", out)
+        return code, any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("at", [2, 20])  # before and after the first data row
+    @pytest.mark.parametrize("extra", ["\n", "# note\n", "#\n"])
+    def test_empty_and_comment_lines_are_skipped(self, tmp_path, command, extra, at):
+        assert self._run(tmp_path, command, extra, at) == (0, True)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("at", [2, 20])
+    @pytest.mark.parametrize("extra", ["  \n", "\t\n", "  # note\n"])
+    def test_blank_but_not_empty_line_exits_two(self, tmp_path, capsys, command, extra, at):
+        assert self._run(tmp_path, command, extra, at) == (2, False)
+        err = capsys.readouterr().err
+        assert str(tmp_path / "in.csv") in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [("fit", "--column", 1), ("regularity",)])
+    def test_non_numeric_cell_names_the_file_and_its_first_data_row(self, tmp_path, capsys,
+                                                                     command):
+        f = tmp_path / "in.csv"
+        write_paths_csv(np.random.default_rng(3).standard_normal((3, 64)), f)
+        lines = f.read_text().splitlines(keepends=True)
+        lines[1:1] = ["# three paths\n"]
+        cells = lines[40].split(",")
+        lines[40] = ",".join([*cells[:2], "abc", *cells[3:]])  # file line 41, value column 1
+        f.write_text("".join(lines))
+        assert run(*command, "--in", f, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{f}: could not convert string 'abc'" in err
+        assert "(the first data row is line 3)" in err
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
 class TestSweep:
     def test_order_independent_bytes(self, tmp_path):
         up, down = tmp_path / "up", tmp_path / "down"
@@ -640,7 +694,7 @@ class TestEpsBudget:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the CLI's start-up time; only the fit diagnostics need it
+    # no command loads scipy.stats, which costs ~1 s to import; only the tests use it
     src = Path(periodicgp.__file__).resolve().parents[1]
     code = "import sys, periodicgp.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -669,17 +723,20 @@ commands = [
      "--out", d + "/back.json"],
     ["bridge-check", "--R", "20", "--n", "16", "--terms", "1000", "--out", d + "/chk.json"],
 ]
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes = [main(argv) for argv in commands]
-scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-late = [main(["fit", "--in", d + "/sim.csv", "--out", d + "/fit"]),
-        main(["simulate", "--model", "param", "--a", "1", "--p", "3", "--n", "64",
-              "--eps", "1e-4", "--seed", "5", "--out", d + "/eps"])]
-print(json.dumps({"codes": codes, "scipy": scipy, "late": late}))
+scipy = loaded()
+late = [main(["fit", "--in", d + "/sim.csv", "--out", d + "/fit"])]
+after_fit = loaded()
+late.append(main(["simulate", "--model", "param", "--a", "1", "--p", "3", "--n", "64",
+                  "--eps", "1e-4", "--seed", "5", "--out", d + "/eps"]))
+print(json.dumps({"codes": codes, "scipy": scipy, "late": late, "after_fit": after_fit}))
 """
 
 
 def test_only_fit_and_eps_load_scipy(tmp_path):
-    # scipy.special is a third of the CLI's start-up time; only fit and --eps use it
+    # scipy.special is a third of the CLI's start-up time; only fit and --eps use it,
+    # and no command loads scipy.stats
     write_coefficients(SpectralCoefficients(1.0, (0.5, 0.25, 0.125)), tmp_path / "c.json")
     src = Path(periodicgp.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_COMMANDS, str(tmp_path)],
@@ -689,6 +746,9 @@ def test_only_fit_and_eps_load_scipy(tmp_path):
     assert result["codes"] == [0] * 9, out.stderr
     assert result["scipy"] == []
     assert result["late"] == [0, 0], out.stderr
+    # fit's p-value comes from periodicgp._kolmogorov, which needs scipy.special only
+    assert "scipy.special" in result["after_fit"]
+    assert not [m for m in result["after_fit"] if m.split(".")[:2] == ["scipy", "stats"]]
 
 
 def test_usage_error_exits_two():

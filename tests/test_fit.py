@@ -1,13 +1,17 @@
 """Profile-likelihood estimation of the power-law family and its diagnostics."""
 
+import ast
+import collections
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import kstest, kstwo
 
-from periodicgp import bridge, dft, fit, synthesis
+from periodicgp import _kolmogorov, bridge, dft, fit, synthesis
 from periodicgp.core import (
     DegenerateDataError,
     GridPath,
@@ -271,6 +275,49 @@ class TestKsPvalueKernel:
         mismatched = [(k, d, want) for (k, d), want in zip(pairs, expected)
                       if fit._ks_pvalue(d, k) != want]
         assert not mismatched, mismatched[:10]
+
+    def test_pairs_reach_every_branch_of_the_port(self, monkeypatch):
+        # every statement of _kolmogorov runs on the differential pairs above, and
+        # each return of sf is taken, so every branch is compared with kstwo.sf;
+        # scipy's cdf = 1 at nD^2 >= 18 is not a branch of sf: nD^2 >= 2.2 returns first
+        called = []
+        for name in ("_durbin_cdf", "_pomeranz_cdf", "_pelz_good_cdf", "smirnov"):
+            def counted(*args, kernel=getattr(_kolmogorov, name), name=name):
+                called.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(_kolmogorov, name, counted)
+        sf, path = _kolmogorov.sf.__code__, _kolmogorov.__file__
+        lines, branches = set(), collections.defaultdict(set)  # sf's return line -> kernels
+
+        def local(frame, event, arg):
+            lines.add(frame.f_lineno)
+            if event == "return" and frame.f_code is sf:
+                branches[frame.f_lineno].update(called)
+            return local
+
+        rng = np.random.default_rng(8)
+        pairs = [(n, D) for n in self.N for D in self._statistics(n, rng)]
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == path
+                     else None)
+        try:
+            for n, D in pairs:
+                called.clear()
+                _kolmogorov.sf(n, D)
+        finally:
+            sys.settrace(previous)
+        functions = [node for node in ast.parse(Path(path).read_text()).body
+                     if isinstance(node, ast.FunctionDef)]
+        statements = {node.lineno for f in functions for part in f.body[1:]  # not docstrings
+                      for node in ast.walk(part) if isinstance(node, ast.stmt)}
+        assert statements <= lines, sorted(statements - lines)
+        returns = {node.lineno for f in functions if f.name == "sf"
+                   for node in ast.walk(f) if isinstance(node, ast.Return)}
+        assert set(branches) == returns and len(returns) == 13
+        reached = collections.Counter(k for kernels in branches.values() for k in kernels)
+        # smirnov: D >= 0.5, Miller for n <= 140, nD^2 >= 2.2 past 140; Durbin on both sides
+        assert reached == {"smirnov": 3, "_durbin_cdf": 2, "_pomeranz_cdf": 1,
+                           "_pelz_good_cdf": 1}
 
     @pytest.mark.parametrize("n", [4, 5, 7, 16, 139, 141, 256, 1000, 4095])
     @pytest.mark.parametrize("scale", [1.0, 1.3, 4.0])
