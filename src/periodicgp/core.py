@@ -65,7 +65,7 @@ def negative_mass_tolerance(c0_sq: float) -> float:
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
+    out = np.array(a, dtype=dtype, order="C")
     out.flags.writeable = False
     return out
 
@@ -430,12 +430,16 @@ def read_coefficients(path) -> SpectralCoefficients:
     try:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data["c"], list):
+            raise TypeError("'c' is not a JSON array")
         raw = [data["c0"], *data["c"]]
         tail = data.get("tail")
         decay = None if tail is None else TailDecay(q=float(tail["q"]), const=float(tail["const"]))
         return validate_coefficients(raw, declared_tail=decay)
     except (KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed coefficient file {path}: {exc}") from exc
+    except ValueError as exc:  # keeps the class: a SpectrumError still exits 4
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_paths_csv(values: np.ndarray, path) -> None:
@@ -455,34 +459,31 @@ def _rows_of_width(lines, commas: int, first: int):
     for number, line in enumerate(lines, first):
         cells = _cells(line)
         if (found := cells.count(",")) != commas and cells:
-            raise ValueError(f"line {number} has {found + 1} fields, "
-                             f"the first data row {commas + 1}")
+            raise ValueError(f"line {number} has {found + 1} fields, the header {commas + 1}")
         yield line
 
 
 def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
     """Rows of a CSV table whose first column is the grid j/n, n a power of two; with a
-    column, only the grid and that value column, after every row's field count is checked.
-    Only lines that are empty once the '#' comment is cut are skipped, as np.loadtxt does."""
+    column, only the grid and that value column.  Every row has the header's field count;
+    only lines empty once the '#' comment is cut are skipped, as np.loadtxt skips them."""
     with open(path) as fh:
-        if not header_ok(fh.readline().strip()):
+        header = fh.readline()
+        if not header_ok(header.strip()):
             raise ValueError(f"{path}: expected {expected}")
+        commas = _cells(header).count(",")
+        if column is not None and not 0 <= column < commas:
+            raise ValueError(f"column {column} out of range, file has {commas}")
         line, number = fh.readline(), 2
         while line and not _cells(line):
             line, number = fh.readline(), number + 1
         if not line:
             raise ValueError(f"{path}: no data rows after the header")
-        if not (first := _cells(line)).strip():
-            raise ValueError(f"{path}: line {number} is blank but not empty")
         # chain, not seek: the input may be a pipe
-        rows, usecols = itertools.chain([line], fh), None
-        if column is not None:
-            commas = first.count(",")
-            if not 0 <= column < commas:
-                raise ValueError(f"column {column} out of range, file has {commas}")
-            rows, usecols = _rows_of_width(rows, commas, number), (0, column + 1)
+        rows = _rows_of_width(itertools.chain([line], fh), commas, number)
         try:
-            data = np.loadtxt(rows, delimiter=",", ndmin=2, usecols=usecols)
+            data = np.loadtxt(rows, delimiter=",", ndmin=2,
+                              usecols=None if column is None else (0, column + 1))
         except ValueError as exc:  # loadtxt's "row R" counts data rows only
             raise ValueError(f"{path}: {exc} (the first data row is line {number})") from exc
     n = data.shape[0]

@@ -143,6 +143,4 @@ def write_covariogram_csv(g: Covariogram, path) -> None:
 def read_covariogram_csv(path) -> Covariogram:
     """Read a delta,value table into a user covariogram (validated)."""
     data = read_grid_csv(path, lambda h: h == "delta,value", "header 'delta,value'")
-    if data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns")
     return Covariogram(data[:, 1])

@@ -604,6 +604,60 @@ class TestSkippedLines:
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
+class TestRowWidth:
+    """Every line after the header that loadtxt does not skip has the header's field count,
+    on every command that reads a table."""
+
+    FIELDS = {"fit": 4, "regularity": 4, "g2c": 2}  # t and three paths; delta,value
+
+    @pytest.mark.parametrize("command", sorted(FIELDS))
+    @pytest.mark.parametrize("at", [2, 20])
+    @pytest.mark.parametrize("width", [-1, 1, None], ids=["short", "long", "blank"])
+    def test_a_row_of_another_width_exits_two_naming_its_line(self, tmp_path, capsys,
+                                                              command, at, width):
+        fields = self.FIELDS[command]
+        extra = "  \n" if width is None else ",".join(["0.5"] * (fields + width)) + "\n"
+        assert TestSkippedLines._run(tmp_path, command, extra, at) == (2, False)
+        found = 1 if width is None else fields + width
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'in.csv'}: line {at} has {found} fields, the header {fields}" in err
+        assert "usecols" not in err
+
+    @pytest.mark.parametrize("command", [("fit",), ("fit", "--column", 1), ("regularity",)])
+    @pytest.mark.parametrize("header", ["t,x0,x1", "t,x0,x1,x2,x3"])  # rows have 4 fields
+    def test_a_header_narrower_or_wider_than_its_rows_exits_two(self, tmp_path, capsys,
+                                                                command, header):
+        f = tmp_path / "in.csv"
+        write_paths_csv(np.random.default_rng(3).standard_normal((3, 64)), f)
+        f.write_text(header + "\n" + f.read_text().split("\n", 1)[1])
+        assert run(*command, "--in", f, "--out", tmp_path / "out") == 2
+        fields = header.count(",") + 1
+        assert f"{f}: line 2 has 4 fields, the header {fields}" in capsys.readouterr().err
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
+class TestCoefficientFileRefusals:
+    @pytest.mark.parametrize("text, code", [
+        ('{"c0": 1, "c": "ab"}', 2),
+        ('{"c0": 1, "c": {"k": 1}}', 2),
+        ('{"c0": 1, "c": [[0.5, 0.25], [0.1]]}', 2),
+        ('{"c0": 1, "c": [0.5], "tail": {"q": 0.5, "const": 1}}', 2),
+        ('{"c0": 1, "c": [0.5], "tail": {"q": "two", "const": 1}}', 2),
+        ('{"c0": -1, "c": [0.5]}', 4),
+        ('{"c0": 1, "c": [0.5, -0.25]}', 4),
+    ])
+    @pytest.mark.parametrize("command", [("transform", "--direction", "c2g", "--in"),
+                                         ("regularity", "--coeffs")])
+    def test_names_the_file_and_keeps_the_exit_code(self, tmp_path, capsys, text, code,
+                                                    command):
+        f = tmp_path / "coeffs.json"
+        f.write_text(text)
+        assert run(*command, f, "--out", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert str(f) in err and "Traceback" not in err
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+
 class TestSweep:
     def test_order_independent_bytes(self, tmp_path):
         up, down = tmp_path / "up", tmp_path / "down"

@@ -185,6 +185,12 @@ class TestEstimateHolder:
         est = estimate_holder(e)
         assert est.exponent <= 1.0
 
+    def test_fortran_ordered_input_is_stored_c_contiguous_with_the_same_estimate(self):
+        x = np.random.default_rng(23).standard_normal((8, 256)).cumsum(axis=1)
+        e = PathEnsemble(256, np.asfortranarray(x))
+        assert e.values.flags.c_contiguous
+        assert estimate_holder(e) == estimate_holder(PathEnsemble(256, x))
+
     def test_window_needs_four_lags(self):
         e = PathEnsemble(16, np.random.default_rng(0).standard_normal((2, 16)))
         with pytest.raises(ValueError):
