@@ -36,9 +36,8 @@ from .regularity import (
 )
 from .bridge import (
     bridge_ensemble,
+    bridge_path,
     centered_bridge_coefficients,
-    centered_bridge_shift,
-    centralized_bridge_path,
     decomposition_check,
     plain_bridge_path,
     proof_identity,
@@ -63,9 +62,8 @@ __all__ = [
     "TailDecay",
     "analyze",
     "bridge_ensemble",
+    "bridge_path",
     "centered_bridge_coefficients",
-    "centered_bridge_shift",
-    "centralized_bridge_path",
     "coeffs_to_covariogram",
     "covariogram_to_coeffs",
     "decomposition_check",

@@ -34,7 +34,7 @@ from .synthesis import (
     SQRT2,
     RngStream,
     _ensemble,
-    generators,
+    _path,
     replicate_lag_products,
     replicate_mean,
     sample_ensemble,
@@ -82,10 +82,10 @@ def resolve_truncation(variant: str, n: int, M: int | None = None) -> int:
     return n // 2 - 1 if variant == "centered_series" else n // 2
 
 
-def _sine_rows(variant: str, n: int, M: int | None, streams) -> np.ndarray:
-    """Sine-series bridge rows on j/n, one per stream, through one transform.
+def _sine_rows(variant: str, n: int, M: int | None, gens) -> np.ndarray:
+    """Sine-series bridge rows on j/n, one per generator, through one transform.
 
-    Each stream draws the centered_shift offset first, then its W block.
+    Each generator draws the centered_shift offset first, then its W block.
     sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n: Im F_k
     of its half spectrum is set to -n sqrt2 W_k / (k pi).  centered_shift rotates
     rows by their offsets (two slice copies), centralized subtracts row means.
@@ -94,13 +94,13 @@ def _sine_rows(variant: str, n: int, M: int | None, streams) -> np.ndarray:
     M = resolve_truncation(variant, n, M)
     if M < 0 or M >= n:
         raise ValueError("sine truncation must satisfy 0 <= M < n")
-    shifts = np.zeros(len(streams), dtype=int)
-    w = np.empty((len(streams), M))
-    for i, gen in enumerate(generators(streams)):
+    shifts = np.zeros(len(gens), dtype=int)
+    w = np.empty((len(gens), M))
+    for i, gen in enumerate(gens):
         if variant == "centered_shift":
             shifts[i] = gen.integers(n)
         gen.standard_normal(out=w[i])
-    F = np.zeros((len(streams), n + 1), dtype=complex)
+    F = np.zeros((len(gens), n + 1), dtype=complex)
     F.imag[:, 1:M + 1] = -n * (SQRT2 * w / (np.arange(1, M + 1) * np.pi))
     values = np.fft.irfft(F, 2 * n, axis=1)[:, :n]
     values[:, 0] = 0.0  # sin(0) = 0; pin the fixed end against transform rounding
@@ -119,21 +119,12 @@ def plain_bridge_path(n: int, M: int | None = None, rng: RngStream = None) -> Gr
     return bridge_path("plain", n, M, rng)
 
 
-def centered_bridge_shift(n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
-    """Plain bridge rotated by a uniform grid shift, drawn before the W block."""
-    return bridge_path("centered_shift", n, M, rng)
-
-
-def centralized_bridge_path(n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
-    """Plain bridge minus its grid mean; the output mean is zero exactly."""
-    return bridge_path("centralized", n, M, rng)
-
-
 def bridge_path(variant: str, n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
+    """One bridge path of the given variant on j/n, drawn from stream rng."""
     if variant == "centered_series":
         return sample_path(centered_bridge_coefficients(),
                            resolve_truncation(variant, n, M), n, rng)
-    return GridPath(n, _sine_rows(variant, n, M, [rng])[0])
+    return _path(lambda gens: _sine_rows(variant, n, M, gens), n, rng)
 
 
 def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,
@@ -142,7 +133,7 @@ def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,
     if variant == "centered_series":
         return sample_ensemble(centered_bridge_coefficients(),
                                resolve_truncation(variant, n, M), n, R, master_seed)
-    return _ensemble(lambda s: _sine_rows(variant, n, M, s), R, n, master_seed, 2 * n)
+    return _ensemble(lambda gens: _sine_rows(variant, n, M, gens), R, n, master_seed, 2 * n)
 
 
 class IdentityCheck(NamedTuple):

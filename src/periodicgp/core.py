@@ -64,8 +64,8 @@ def negative_mass_tolerance(c0_sq: float) -> float:
     return max(1e-9 * c0_sq, 1e-12)
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype, order="C")
+def _readonly(a) -> np.ndarray:
+    out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -434,9 +434,12 @@ def read_coefficients(path) -> SpectralCoefficients:
             raise TypeError("'c' is not a JSON array")
         raw = [data["c0"], *data["c"]]
         tail = data.get("tail")
-        decay = None if tail is None else TailDecay(q=float(tail["q"]), const=float(tail["const"]))
+        declared = [] if tail is None else [tail["q"], tail["const"]]
+        if any(type(x) not in (int, float) for x in raw + declared):  # bool is not a number
+            raise TypeError("c0, c, q and const must be JSON numbers")
+        decay = None if tail is None else TailDecay(*map(float, declared))
         return validate_coefficients(raw, declared_tail=decay)
-    except (KeyError, TypeError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (KeyError, TypeError, OverflowError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed coefficient file {path}: {exc}") from exc
     except ValueError as exc:  # keeps the class: a SpectrumError still exits 4
         raise type(exc)(f"{path}: {exc}") from exc
@@ -473,7 +476,7 @@ def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
             raise ValueError(f"{path}: expected {expected}")
         commas = _cells(header).count(",")
         if column is not None and not 0 <= column < commas:
-            raise ValueError(f"column {column} out of range, file has {commas}")
+            raise ValueError(f"{path}: column {column} out of range, file has {commas}")
         line, number = fh.readline(), 2
         while line and not _cells(line):
             line, number = fh.readline(), number + 1

@@ -97,7 +97,7 @@ class HolderEstimate:
 
 
 def dyadic_window(n: int) -> tuple:
-    """Dyadic lags 2^j with 1/n <= 2^j/n <= 1/8, the default estimation window."""
+    """Dyadic lags 2^j with 1/n <= 2^j/n <= 1/8, the estimation window."""
     lags = []
     d = 1
     while d * 8 <= n:
@@ -106,23 +106,18 @@ def dyadic_window(n: int) -> tuple:
     return tuple(lags)
 
 
-def estimate_holder(e: PathEnsemble, lags=None) -> HolderEstimate:
-    """Half the log-log slope of S(h) over a dyadic lag window.
+def estimate_holder(e: PathEnsemble) -> HolderEstimate:
+    """Half the log-log slope of S(h) over the window dyadic_window(e.n).
 
     The report is capped at 1.0: increments of a differentiable path scale
     as h^2 no matter how smooth the path is, so the method cannot resolve
     anything above exponent one.  Raw slopes beyond SATURATION_SLOPE set
     the saturation flag.
     """
-    window = dyadic_window(e.n) if lags is None else tuple(int(d) for d in lags)
+    window = dyadic_window(e.n)
     if len(window) < 4:
         raise ValueError("need at least 4 window lags")
-    arr = np.asarray(window, dtype=int)
-    if np.any(arr < 1) or np.any(8 * arr > e.n):
-        raise ValueError("window lags must lie within [1/n, 1/8]")
-    if np.any(arr & (arr - 1)):
-        raise ValueError("window lags must be dyadic (powers of two)")
-    sf = structure_function(e, arr)
+    sf = structure_function(e, window)
     if np.any(sf.value <= 0.0):
         raise DegenerateDataError("nonpositive structure function in window")
     x = np.log(sf.delta)

@@ -1,10 +1,10 @@
 """Sample-path generation as truncated random trigonometric series.
 
-Reproducibility contract: every draw flows from an RngStream: stream r of
-master seed s is np.random.default_rng([s, r]).  Several streams of one seed
-take their SeedSequence words from one vectorized pass, and numpy's PCG64 seeds
-each stream's own Generator from them; the pass is checked bit for bit against
-default_rng once per process (default_rng per stream on a mismatch).
+Reproducibility contract: every draw comes from stream r of master seed s,
+np.random.default_rng([s, r]), and row builders draw only from the generators
+they are handed.  The streams of an ensemble chunk take their SeedSequence words
+from one vectorized pass, and numpy's PCG64 seeds each stream's Generator from
+them; a bit-for-bit check against default_rng, once per process, falls back to it.
 A path consumes one block of 1 + 2K standard normals laid out as
 
     Y'0, Y_1, Y'_1, Y_2, Y'_2, ...
@@ -125,16 +125,13 @@ def _seeding_self_check() -> bool:
     return True
 
 
-def generators(streams):
-    """One numpy Generator per stream, in order; a missing stream is a usage error.
-    Streams of one seed are seeded from one vectorized pass, one Generator at a time."""
-    if any(rng is None for rng in streams):
-        raise ValueError("sample paths need an RngStream")
-    seeds = {rng.master_seed for rng in streams}
-    if len(streams) > 1 and len(seeds) == 1 and _seeding_self_check():
-        words = _seed_words(seeds.pop(), [rng.stream_id for rng in streams])
-        return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words)
-    return [rng.generator() for rng in streams]
+def generators(master_seed: int, stream_ids) -> list:
+    """One numpy Generator per stream id of master_seed, in order.  Two or more
+    streams are seeded from one vectorized pass, a single one by default_rng."""
+    if len(stream_ids) > 1 and _seeding_self_check():
+        words = _seed_words(master_seed, stream_ids)
+        return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+    return [np.random.default_rng([master_seed, r]) for r in stream_ids]
 
 
 def truncation_index(c: SpectralCoefficients, eps: float) -> int:
@@ -172,45 +169,53 @@ def truncation_index(c: SpectralCoefficients, eps: float) -> int:
     return hi
 
 
-def _series_rows(c: SpectralCoefficients, K: int, n: int, streams) -> np.ndarray:
-    """Rows of the series truncated at harmonic K on j/n, one per stream.
+def _series_rows(c: SpectralCoefficients, K: int, n: int, gens) -> np.ndarray:
+    """Rows of the series truncated at harmonic K on j/n, one per generator.
 
-    Each stream draws its own 1 + 2K block into its row of the half spectrum,
+    Each generator draws its own 1 + 2K block into its row of the half spectrum,
     and one inverse transform runs over the rows, so no row sees its neighbours.
     """
     check_grid(n)
     dft.check_harmonics(K, n)
-    F = np.zeros((len(streams), n // 2 + 1), dtype=complex)
+    F = np.zeros((len(gens), n // 2 + 1), dtype=complex)
     flat = F.view(float)
-    for i, gen in enumerate(generators(streams)):
+    for i, gen in enumerate(gens):
         gen.standard_normal(out=flat[i, 1:2 + 2 * K])
     F[:, 0] = n * (c.c0 * F[:, 0].imag)
     F[:, 1:K + 1] *= -0.5j * n * (SQRT2 * c.materialize(K))  # n (c_k Y'_k - i c_k Y_k) / sqrt2
     return np.fft.irfft(F, n, axis=1)
 
 
+def _path(rows, n: int, rng: RngStream) -> GridPath:
+    """One path on j/n from rows([the generator of rng]); a missing stream is a usage error."""
+    if rng is None:
+        raise ValueError("sample paths need an RngStream")
+    return GridPath(n, rows([rng.generator()])[0])
+
+
 def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> GridPath:
     """One trajectory of the series truncated at harmonic K, on the grid j/n."""
-    return GridPath(n, _series_rows(c, K, n, [rng])[0])
+    return _path(lambda gens: _series_rows(c, K, n, gens), n, rng)
 
 
 def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsemble:
-    """R paths on j/n from rows(streams), replicate r from stream r, after checking R
-    and the grid; each chunk of replicates is sized so that their transform rows,
-    width values each, fit dft.ROW_BUDGET together."""
+    """R paths on j/n from rows(generators), replicate r from stream r, after checking R,
+    the grid and the seed; each chunk of replicates is sized so that their transform
+    rows, width values each, fit dft.ROW_BUDGET together."""
     if R < 1:
         raise ValueError("need at least one replicate")
     check_grid(n)
+    master_seed = RngStream(master_seed).master_seed
     values = np.empty((R, n))
     for lo, hi in dft.row_chunks(R, width):
-        values[lo:hi] = rows([RngStream(master_seed, r) for r in range(lo, hi)])
+        values[lo:hi] = rows(generators(master_seed, range(lo, hi)))
     return PathEnsemble(n, values)
 
 
 def sample_ensemble(c: SpectralCoefficients, K: int, n: int, R: int,
                     master_seed: int) -> PathEnsemble:
     """R independent paths; replicate r always draws from stream r."""
-    return _ensemble(lambda s: _series_rows(c, K, n, s), R, n, master_seed, n)
+    return _ensemble(lambda gens: _series_rows(c, K, n, gens), R, n, master_seed, n)
 
 
 def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:

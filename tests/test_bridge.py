@@ -89,7 +89,7 @@ class TestCenteredShift:
         n = 64
         seed = next(s for s in range(1000)
                     if RngStream(s, 0).generator().integers(n) == 0)
-        path = bridge.centered_bridge_shift(n, rng=RngStream(seed, 0))
+        path = bridge.bridge_path("centered_shift", n, rng=RngStream(seed, 0))
         gen = RngStream(seed, 0).generator()
         gen.integers(n)  # consume the offset draw
         w = gen.standard_normal(n // 2)
@@ -100,7 +100,7 @@ class TestCenteredShift:
         assert np.allclose(path.values, hand, atol=1e-12)
 
     def test_shifts_compose_as_a_group(self):
-        path = bridge.centered_bridge_shift(64, rng=RngStream(8, 0))
+        path = bridge.bridge_path("centered_shift", 64, rng=RngStream(8, 0))
         v = path.values
         assert np.array_equal(np.roll(np.roll(v, 13), 21), np.roll(v, 34))
 
@@ -143,10 +143,8 @@ class TestBridgeDispatch:
             bridge.bridge_path("centered_series", 64, M=40, rng=RngStream(0, 0))
 
     def test_missing_stream_is_a_value_error(self):
-        for fn in (bridge.plain_bridge_path, bridge.centered_bridge_shift,
-                   bridge.centralized_bridge_path):
-            with pytest.raises(ValueError, match="RngStream"):
-                fn(64)
+        with pytest.raises(ValueError, match="RngStream"):
+            bridge.plain_bridge_path(64)
         for variant in bridge.VARIANTS:
             with pytest.raises(ValueError, match="RngStream"):
                 bridge.bridge_path(variant, 64)

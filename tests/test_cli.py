@@ -296,7 +296,9 @@ class TestFitReadsOneColumn:
     @pytest.mark.parametrize("column", [4, -1])
     def test_out_of_range_column_keeps_its_message(self, tmp_path, capsys, column):
         assert self._fit(tmp_path, "wide", self._wide(tmp_path), column) == (2, [None, None])
-        assert f"column {column} out of range, file has 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"column {column} out of range, file has 4" in err
+        assert f"{tmp_path / 'wide.csv'}: column" in err
 
 
 class TestRegularityCommand:
@@ -414,6 +416,11 @@ class TestBadInput:
                                 "--grid", 128), "--grid does not apply to --direction g2c"),
         # every T_k is finite, but a^2(p) overflows even at p-min, so no bounds can help
         "fit-path-scale-out-of-range": (("fit", "--in", "{huge}"), "rescale the path"),
+        "fit-grid-not-power-of-two": (("fit", "--in", "{three}"),
+                                      "{three}: grid size 3 is not a power of two"),
+        "transform-g2c-grid-not-power-of-two": (("transform", "--direction", "g2c",
+                                                 "--in", "{three_cov}"),
+                                                "{three_cov}: grid size 3 is not a power of two"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -428,11 +435,16 @@ class TestBadInput:
         write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e154, huge)
         cov = tmp_path / "cov.csv"
         spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(64), cov)
+        three, three_cov = tmp_path / "three.csv", tmp_path / "three_cov.csv"
+        three.write_text("t,x\n0,1\n0.25,2\n0.5,3\n")
+        three_cov.write_text("delta,value\n0,1\n0.25,0.5\n0.5,0.25\n")
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
-        argv = [str(a).format(coeffs=coeffs, valid=valid, path=path, huge=huge, cov=cov)
-                for a in argv]
+        files = dict(coeffs=coeffs, valid=valid, path=path, huge=huge, cov=cov, three=three,
+                     three_cov=three_cov)
+        argv = [str(a).format(**files) for a in argv]
+        message = message.format(**files)
         assert run(*argv, "--out", out / "x") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err
@@ -645,6 +657,13 @@ class TestCoefficientFileRefusals:
         ('{"c0": 1, "c": [0.5], "tail": {"q": "two", "const": 1}}', 2),
         ('{"c0": -1, "c": [0.5]}', 4),
         ('{"c0": 1, "c": [0.5, -0.25]}', 4),
+        # only JSON numbers are coefficients: no strings, no booleans
+        ('{"c0": "1", "c": ["0.5", "1e-1"], "tail": {"q": "2.5", "const": "0.01"}}', 2),
+        ('{"c0": true, "c": [false, true]}', 2),
+        ('{"c0": 1, "c": [0.5, "0.25"]}', 2),
+        # a JSON integer beyond the float range
+        ('{"c0": 1%s, "c": [0.5]}' % ("0" * 400), 2),
+        ('{"c0": 1, "c": [0.5], "tail": {"q": 2, "const": 1%s}}' % ("0" * 400), 2),
     ])
     @pytest.mark.parametrize("command", [("transform", "--direction", "c2g", "--in"),
                                          ("regularity", "--coeffs")])

@@ -86,26 +86,26 @@ class TestBatchedSeeding:
     def test_self_check_passes_and_ensembles_take_the_batch(self):
         synthesis._seeding_self_check.cache_clear()
         assert synthesis._seeding_self_check() is True
-        gens = list(synthesis.generators([RngStream(5, r) for r in range(3)]))
+        gens = synthesis.generators(5, range(3))
         assert all(type(g.bit_generator.seed_seq) is synthesis._SeedWords for g in gens)
-        # one stream, or streams of two seeds, keep default_rng per stream
-        for streams in ([RngStream(5, 0)], [RngStream(5, 0), RngStream(6, 1)]):
-            assert all(type(g.bit_generator.seed_seq) is np.random.SeedSequence
-                       for g in synthesis.generators(streams))
+        # one stream keeps default_rng
+        (g,) = synthesis.generators(5, [0])
+        assert type(g.bit_generator.seed_seq) is np.random.SeedSequence
 
     @pytest.mark.parametrize("seed", [0, 2 ** 32 + 7, 2 ** 64 - 1])
     def test_shared_generator_replays_every_stream(self, seed):
         # each stream takes a shift (a buffered 32-bit draw) and then normals
-        streams = [RngStream(seed, r) for r in (0, 1, 2, 2 ** 32, 7)]
+        ids = (0, 1, 2, 2 ** 32, 7)
+        streams = [RngStream(seed, r) for r in ids]
         got = [(gen.integers(1024), gen.standard_normal(5).tobytes())
-               for gen in synthesis.generators(streams)]
+               for gen in synthesis.generators(seed, ids)]
         want = [(gen.integers(1024), gen.standard_normal(5).tobytes())
                 for gen in (s.generator() for s in streams)]
         assert got == want
 
     def test_listed_batch_draws_in_any_order(self):
         streams = [RngStream(23, r) for r in range(5)]
-        gens = list(synthesis.generators(streams))
+        gens = synthesis.generators(23, range(5))
         assert len({id(g) for g in gens}) == 5
         got = {r: gens[r].standard_normal(4).tobytes() for r in reversed(range(5))}
         for r, s in enumerate(streams):
@@ -154,6 +154,12 @@ class TestTruncationIndex:
     def test_finite_support_needs_nothing_beyond_it(self):
         c = SpectralCoefficients(1.0, (0.0, 0.0))
         assert truncation_index(c, 0.5) == 0
+
+    @pytest.mark.parametrize("tail", [None, TailDecay(q=2.0, const=0.0)])
+    def test_all_zero_coefficients_need_no_harmonic(self, tail):
+        c = SpectralCoefficients(0.0, (0.0, 0.0, 0.0), declared_tail=tail)
+        assert c.squared_mass() == 0.0
+        assert truncation_index(c, 1e-6) == 0
 
     def test_tail_exactly_at_the_budget_meets_it(self):
         # the tail beyond K = 1 holds 2 of the mass 4, exactly eps = 0.5 of it
@@ -372,7 +378,8 @@ class TestReferenceLayout:
         F = dft.spectrum(self.N, c.c0 * draws[:, 0], amp * draws[:, 1::2],
                          amp * draws[:, 2::2])
         want = np.fft.irfft(F, self.N, axis=1)
-        assert synthesis._series_rows(c, K, self.N, self.STREAMS).tobytes() == want.tobytes()
+        gens = [s.generator() for s in self.STREAMS]
+        assert synthesis._series_rows(c, K, self.N, gens).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("variant", ["plain", "centered_shift", "centralized"])
     @pytest.mark.parametrize("M", [0, 1, N - 1])
@@ -389,7 +396,8 @@ class TestReferenceLayout:
         want = np.array([np.roll(x, shift) for x, shift in zip(want, shifts)])
         if variant == "centralized":
             want = want - want.mean(axis=1, keepdims=True)
-        assert bridge._sine_rows(variant, n, M, self.STREAMS).tobytes() == want.tobytes()
+        gens = [s.generator() for s in self.STREAMS]
+        assert bridge._sine_rows(variant, n, M, gens).tobytes() == want.tobytes()
 
 # SHA-256 of in-memory outputs at the benchmark's sizes: n = 4096 series
 # ensembles of R = 250 and n = 1024 bridge ensembles of R = 2000, both
