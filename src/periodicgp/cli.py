@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import bridge, dft, fit, regularity, spectral, synthesis
+from . import bridge, fit, regularity, spectral, synthesis
 from .core import (
     AliasingError,
     DegenerateDataError,
@@ -143,11 +143,11 @@ def cmd_fit(args) -> None:
     t, values = read_paths_csv(args.infile, args.column)
     path = GridPath(t.size, values[0])
     result = fit.fit_mle(path, K=args.K, p_bounds=(args.p_min, args.p_max))
-    h = dft.analyze(path)
-    residuals = fit.standardized_residuals(h, result)
+    K = result.K_used
+    h, T = fit._observe(path, K)  # fit_mle's analysis of this path, not a second one
+    residuals = fit._residuals(T, result)
     report = fit.residual_report(residuals)
     write_json({"fit": asdict(result), "goodness": asdict(report)}, f"{args.out}.json")
-    K = result.K_used
     write_table_csv("k,sin,cos,residual",
                     [np.arange(1.0, K + 1), h.sin_coef[:K], h.cos_coef[:K], residuals],
                     f"{args.out}.residuals.csv")

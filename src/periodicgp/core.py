@@ -492,7 +492,7 @@ def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
     n = data.shape[0]
     if not is_power_of_two(n):
         raise ValueError(f"{path}: grid size {n} is not a power of two")
-    if np.max(np.abs(data[:, 0] - np.arange(n) / n)) > 1e-12:
+    if not np.max(np.abs(data[:, 0] - np.arange(n) / n)) <= 1e-12:  # a NaN fails too
         raise ValueError(f"{path}: first column is not the uniform grid j/n")
     return data
 
@@ -501,4 +501,6 @@ def read_paths_csv(path, column=None) -> tuple[np.ndarray, np.ndarray]:
     """Read a path CSV; returns (t, values) with values shaped (R, n), or (1, n) holding
     value column `column` alone when one is given."""
     data = read_grid_csv(path, lambda h: h.startswith("t,"), "a header starting with 't,'", column)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: path values must be finite")
     return data[:, 0], data[:, 1:].T

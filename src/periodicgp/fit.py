@@ -35,6 +35,7 @@ harmonic analysis and reported separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,8 +69,6 @@ def model_coefficients(model: ParametricModel, K: int) -> SpectralCoefficients:
 
 
 def _harmonic_energy(h: dft.HarmonicDecomposition, K: int) -> np.ndarray:
-    if K < 1:
-        raise ValueError("need at least one harmonic")
     dft.check_harmonics(K, h.n)
     with np.errstate(over="ignore"):
         T = h.sin_coef[:K] ** 2 + h.cos_coef[:K] ** 2
@@ -80,14 +79,23 @@ def _harmonic_energy(h: dft.HarmonicDecomposition, K: int) -> np.ndarray:
     return T
 
 
+@functools.lru_cache(maxsize=1)  # safe: a GridPath is read-only, hashes by identity, is held here
+def _observe(path: GridPath, K: int):
+    """dft.analyze(path) and its T_k, k <= K, for the last path: a fit and its check share them."""
+    h = dft.analyze(path)
+    return h, _harmonic_energy(h, K)
+
+
+def _amplitude_sq(T: np.ndarray, logk: np.ndarray, p: float) -> float:
+    return float(np.sum(T * np.exp(2.0 * p * logk))) / (4.0 * T.size)
+
+
 def profile_amplitude(h: dft.HarmonicDecomposition, p: float, K: int) -> float:
     """Closed-form profile maximizer a^2(p) = (1/(4K)) sum T_k k^(2p)."""
-    T = _harmonic_energy(h, K)
-    logk = np.log(np.arange(1, K + 1, dtype=float))
-    return float(np.sum(T * np.exp(2.0 * p * logk))) / (4.0 * K)
+    return _amplitude_sq(_harmonic_energy(h, K), np.log(np.arange(1, K + 1, dtype=float)), p)
 
 
-def _slope(T: np.ndarray):
+def _slope(T: np.ndarray, logk: np.ndarray):
     """p -> (g'(p), g''(p)) of the profiled criterion, from one weighted pass over T.
 
     The weights T_k k^(2p) are taken as exp(e - max e), e = log T_k + 2p log k:
@@ -95,7 +103,6 @@ def _slope(T: np.ndarray):
     and no exponent can overflow whatever the bounds or the data scale.
     """
     K = T.size
-    logk = np.log(np.arange(1, K + 1, dtype=float))
     two_S = 2.0 * float(logk.sum())
     keep = T > 0.0  # zero energies carry zero weight
     logT, logk = np.log(T[keep]), logk[keep]
@@ -169,22 +176,20 @@ def fit_mle(path: GridPath, K: int | None = None,
     is reported with the "boundary" convergence flag, not an error; single
     tones push p to the upper bound this way.
     """
-    h = dft.analyze(path)
-    n = path.n
-    if K is None:
-        K = n // 4
+    K = path.n // 4 if K is None else K
     if K < 4:
         raise ValueError("need at least 4 harmonics to identify (a, p)")
     lo, hi = float(p_bounds[0]), float(p_bounds[1])
     if not (0.5 < lo < hi < math.inf):
         raise ValueError("p bounds must satisfy 1/2 < lo < hi < inf")
-    T = _harmonic_energy(h, K)
-    p_hat, iterations, bracket, converged = _minimize(_slope(T), lo, hi)
+    h, T = _observe(path, K)
+    logk = np.log(np.arange(1, K + 1, dtype=float))  # shared by g' and a^2(p)
+    p_hat, iterations, bracket, converged = _minimize(_slope(T, logk), lo, hi)
     flag = "interior" if lo < p_hat < hi else "boundary"
 
     def amplitude_nll(p: float):  # inf or nan where a^2(p) or the likelihood overflows
         with np.errstate(all="ignore"):
-            a_sq = profile_amplitude(h, p, K)
+            a_sq = _amplitude_sq(T, logk, p)
             sigma_sq = 2.0 * a_sq * np.arange(1, K + 1, dtype=float) ** (-2.0 * p)
             return a_sq, (float(np.sum(T / (2.0 * sigma_sq) + np.log(sigma_sq)))
                           + K * math.log(2.0 * math.pi))
@@ -224,7 +229,10 @@ class GoodnessReport:
 
 def standardized_residuals(h: dft.HarmonicDecomposition, result: FitResult) -> np.ndarray:
     """Residuals r_k = (sin_k^2 + cos_k^2) k^(2p) / (4 a^2), Exp(1) under the fitted model."""
-    T = _harmonic_energy(h, result.K_used)
+    return _residuals(_harmonic_energy(h, result.K_used), result)
+
+
+def _residuals(T: np.ndarray, result: FitResult) -> np.ndarray:
     k = np.arange(1, result.K_used + 1, dtype=float)
     return T * k ** (2.0 * result.p_hat) / (4.0 * result.a_hat ** 2)
 
@@ -233,7 +241,7 @@ def _ks_pvalue(D: float, n: int) -> float:
     """P(D_n >= D), the exact two-sided Kolmogorov tail that kstwo.sf computes."""
     from . import _kolmogorov  # lazy: it imports scipy.special
 
-    return float(np.clip(_kolmogorov.sf(n, D), 0.0, 1.0))
+    return min(max(float(_kolmogorov.sf(n, D)), 0.0), 1.0)  # a NaN passes, as in np.clip
 
 
 def residual_report(r: np.ndarray) -> GoodnessReport:
@@ -266,4 +274,4 @@ def residual_report(r: np.ndarray) -> GoodnessReport:
 
 def goodness_of_fit(path: GridPath, result: FitResult) -> GoodnessReport:
     """residual_report of the path's harmonic residuals under the fit."""
-    return residual_report(standardized_residuals(dft.analyze(path), result))
+    return residual_report(_residuals(_observe(path, result.K_used)[1], result))

@@ -196,8 +196,8 @@ class TestFitCommand:
         assert lines[0] == "k,sin,cos,residual"
         assert len(lines) == 1 + rep["fit"]["K_used"]
 
-    def test_path_is_analyzed_twice(self, tmp_path, monkeypatch):
-        # once inside fit_mle, once for the residuals and the CSV columns
+    def test_path_is_analyzed_once(self, tmp_path, monkeypatch):
+        # fit_mle's analysis also gives the residuals and the CSV columns
         sim = tmp_path / "sim"
         assert run("simulate", "--model", "param", "--a", 1, "--p", 1.5,
                    "--n", 256, "--paths", 1, "--seed", 7, "--out", sim) == 0
@@ -205,7 +205,7 @@ class TestFitCommand:
         analyze = dft.analyze
         monkeypatch.setattr(dft, "analyze", lambda path: calls.append(1) or analyze(path))
         assert run("fit", "--in", sim.with_suffix(".csv"), "--out", tmp_path / "fit") == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_constant_path_reports_degenerate_data(self, tmp_path, capsys):
         f = tmp_path / "const.csv"
@@ -648,6 +648,44 @@ class TestRowWidth:
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 
+class TestNonFiniteCells:
+    """A nan cell that a reader converts is refused with the file named, and no output is
+    written; fit converts only t and its --column, so a nan elsewhere does not stop it."""
+
+    @staticmethod
+    def _run(tmp_path, command, line, field):
+        """Exit code, and whether an output was written, with cell `field` of file line
+        `line` set to nan."""
+        f = tmp_path / "in.csv"
+        if command == "g2c":
+            spectral.write_covariogram_csv(spectral.coeffs_to_covariogram(
+                SpectralCoefficients(1.0, (0.5, 0.25, 0.125)), 64), f)
+        else:
+            write_paths_csv(np.random.default_rng(3).standard_normal((3, 64)), f)
+        lines = f.read_text().splitlines(keepends=True)
+        cells = lines[line - 1].rstrip("\n").split(",")
+        cells[field] = "nan"
+        lines[line - 1] = ",".join(cells) + "\n"
+        f.write_text("".join(lines))
+        code = run(*TestSkippedLines.COMMANDS[command], "--in", f, "--out", tmp_path / "out")
+        return code, any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", sorted(TestSkippedLines.COMMANDS))
+    def test_nan_grid_cell_is_not_the_uniform_grid(self, tmp_path, capsys, command):
+        assert self._run(tmp_path, command, 9, 0) == (2, False)
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'in.csv'}: first column is not the uniform grid j/n" in err
+
+    @pytest.mark.parametrize("command", ["fit", "regularity"])
+    def test_nan_value_cell_names_the_file(self, tmp_path, capsys, command):
+        assert self._run(tmp_path, command, 9, 1) == (2, False)
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'in.csv'}: path values must be finite" in err
+
+    def test_nan_in_another_column_does_not_stop_a_fit(self, tmp_path):
+        assert self._run(tmp_path, "fit", 9, 3) == (0, True)
+
+
 class TestCoefficientFileRefusals:
     @pytest.mark.parametrize("text, code", [
         ('{"c0": 1, "c": "ab"}', 2),
@@ -674,6 +712,13 @@ class TestCoefficientFileRefusals:
         assert run(*command, f, "--out", tmp_path / "out") == code
         err = capsys.readouterr().err
         assert str(f) in err and "Traceback" not in err
+        assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
+
+    def test_negative_tail_constant_names_the_file(self, tmp_path, capsys):
+        f = tmp_path / "coeffs.json"
+        f.write_text('{"c0": 1, "c": [0.5], "tail": {"q": 2, "const": -1}}')
+        assert run("transform", "--direction", "c2g", "--in", f, "--out", tmp_path / "out") == 2
+        assert f"{f}: tail constant must be finite and nonnegative" in capsys.readouterr().err
         assert not any(p.name.startswith("out") for p in tmp_path.iterdir())
 
 

@@ -213,11 +213,23 @@ class TestGridPath:
         with pytest.raises(ValueError):
             p.values[0] = 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="path values must be finite"):
+            GridPath(8, [0.0, bad, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
 
 class TestPathEnsemble:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             PathEnsemble(8, np.zeros((3, 7)))
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.zeros((2, 8))
+        values[1, 3] = bad
+        with pytest.raises(ValueError, match="ensemble values must be finite"):
+            PathEnsemble(8, values)
 
     def test_path_accessor(self):
         e = PathEnsemble(8, np.arange(16.0).reshape(2, 8))

@@ -2,6 +2,7 @@
 
 import ast
 import collections
+import hashlib
 import math
 import sys
 import warnings
@@ -230,6 +231,53 @@ class TestGoodnessOfFit:
         ks = kstest(standardized_residuals(dft.analyze(path), res), "expon")
         assert rep.ks_statistic == ks.statistic
         assert rep.ks_pvalue == ks.pvalue
+
+
+# sha256 over a_hat, p_hat, neg_log_likelihood, iterations and the GoodnessReport floats of
+# 40 paths at n = 1024, K = 256, cycling through the fits benchmark's models (p = 0.75, 1.5,
+# 3, 7 and the plain bridge); pinned on numpy 2.4.6 and scipy 1.17.1
+LIBRARY_FIT_DIGEST = "e7986d28fe3d163ec40bf841617b3ad9ade2c95ddb84ad674319292ce9c6cdb2"
+
+
+class TestSharedAnalysis:
+    """fit_mle and goodness_of_fit on one GridPath share one harmonic analysis."""
+
+    MODELS = (0.75, 1.5, 3.0, 7.0, None)  # None: the plain bridge
+
+    @classmethod
+    def _path(cls, i):
+        p, rng = cls.MODELS[i % len(cls.MODELS)], synthesis.RngStream(2012, i)
+        if p is None:
+            return bridge.plain_bridge_path(1024, None, rng)
+        return synthesis.sample_path(model_coefficients(ParametricModel(1.0, p), 511),
+                                     511, 1024, rng)
+
+    def test_library_fit_path_digest(self):
+        h = hashlib.sha256()
+        for i in range(40):
+            path = self._path(i)
+            res = fit_mle(path, K=256)
+            rep = goodness_of_fit(path, res)
+            h.update(np.float64([res.a_hat, res.p_hat, res.neg_log_likelihood,
+                                 res.convergence.iterations, rep.residual_mean, rep.dispersion,
+                                 rep.ks_statistic, rep.ks_pvalue, rep.threshold]).tobytes())
+        assert h.hexdigest() == LIBRARY_FIT_DIGEST
+
+    def test_fit_and_check_analyze_a_path_once(self, monkeypatch):
+        calls = []
+        analyze = dft.analyze
+        monkeypatch.setattr(dft, "analyze", lambda path: calls.append(path) or analyze(path))
+        path = self._path(1)
+        goodness_of_fit(path, fit_mle(path, K=256))
+        assert calls == [path]
+
+    def test_check_of_another_path_analyzes_that_path(self):
+        path_a, path_b = self._path(1), self._path(6)
+        result_a = fit_mle(path_a, K=256)
+        got = goodness_of_fit(path_b, result_a)
+        want = residual_report(standardized_residuals(dft.analyze(path_b), result_a))
+        assert repr(got) == repr(want)  # repr keeps every bit of each float
+        assert got != goodness_of_fit(path_a, result_a)
 
 
 def _around(d):
