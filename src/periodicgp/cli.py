@@ -9,6 +9,7 @@ seed is drawn once and printed so the run can be reproduced.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -305,6 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _parser = functools.cache(build_parser)  # built on the first main call, not at import
+# glibc keeps freed arrays resident while a live block sits above them on the heap; malloc_trim
+# returns every free page, so a command leaves resident only what is still live (no-op elsewhere)
+_release_free_memory = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)
 
 
 def main(argv=None) -> int:
@@ -316,8 +320,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         codes = {AliasingError: 3, SpectrumError: 4, DegenerateDataError: 5}
         return next((code for cls, code in codes.items() if isinstance(exc, cls)), 2)
+    finally:
+        _release_free_memory(0)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,11 +43,14 @@ def covariogram_to_coeffs(g: Covariogram, K: int) -> SpectralCoefficients:
     Returns
     -------
     SpectralCoefficients
-        c_k = sqrt(max(0, quadrature value)).  Mass more negative than the
-        clamp tolerance aborts: the input cannot be a covariance function.
+        c_k = sqrt(max(0, quadrature value)).  Mass at any harmonic 0..n/2,
+        not only up to K, more negative than the clamp tolerance aborts: the
+        input cannot be a covariance function.  The tolerance grows with
+        c0^2 and with C(0), the scale of the transform's rounding.
     """
-    mass = dft.cosine_table(g.values, K)
-    tol = negative_mass_tolerance(max(float(mass[0]), 0.0))
+    dft.check_harmonics(K, g.n)
+    mass = np.fft.rfft(g.values).real / g.n  # dft.cosine_table's quadrature, k = 0..n/2
+    tol = max(negative_mass_tolerance(max(float(mass[0]), 0.0)), 1e-12 * abs(g.values[0]))
     worst = float(np.min(mass))
     if worst < -tol:
         raise SpectrumError(
@@ -59,7 +62,7 @@ def covariogram_to_coeffs(g: Covariogram, K: int) -> SpectralCoefficients:
             "input sits close to the tolerance boundary", stacklevel=2)
     # symmetric snap: quadrature noise is +-tol regardless of sign, and the
     # square root would amplify a noise-level positive into a visible c_k
-    mass = np.where(np.abs(mass) < tol, 0.0, mass)
+    mass = np.where(np.abs(mass) < tol, 0.0, mass)[:K + 1]
     clamped = np.sqrt(np.clip(mass, 0.0, None))
     return SpectralCoefficients(float(clamped[0]), clamped[1:])
 
@@ -143,4 +146,7 @@ def write_covariogram_csv(g: Covariogram, path) -> None:
 def read_covariogram_csv(path) -> Covariogram:
     """Read a delta,value table into a user covariogram (validated)."""
     data = read_grid_csv(path, lambda h: h == "delta,value", "header 'delta,value'")
-    return Covariogram(data[:, 1])
+    try:
+        return Covariogram(data[:, 1])
+    except ValueError as exc:  # keeps the class: a SpectrumError still exits 4
+        raise type(exc)(f"{path}: {exc}") from exc

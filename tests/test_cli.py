@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -146,6 +147,30 @@ class TestTransform:
                  "--out", tmp_path / "c.json")
         assert rc == 4
         assert "asymmetric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, 0.5, 0.2, 0.1, 0.0, 0.1, 0.2, 0.4],
+         "asymmetric covariogram: C(d) must equal C(1-d)"),
+        ([0.5, 1.0, 0.2, 1.0], "covariogram maximum must sit at lag zero"),
+    ], ids=["asymmetric", "maximum-off-lag-zero"])
+    def test_table_refusal_names_the_file(self, tmp_path, capsys, values, message):
+        f = tmp_path / "g.csv"
+        f.write_text("delta,value\n" + "".join(
+            f"{j / len(values)},{v}\n" for j, v in enumerate(values)))
+        assert run("transform", "--direction", "g2c", "--in", f,
+                   "--out", tmp_path / "c.json") == 4
+        assert f"error: {f}: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_negative_mass_above_K_is_a_spectrum_error(self, tmp_path, capsys):
+        # symmetric and lag-zero dominant; the default K is 1, the mass at harmonic 2 -0.225
+        f = tmp_path / "g.csv"
+        f.write_text("delta,value\n0,1\n0.25,0.5\n0.5,-0.9\n0.75,0.5\n")
+        assert run("transform", "--direction", "g2c", "--in", f,
+                   "--out", tmp_path / "c.json") == 4
+        assert capsys.readouterr().err == (
+            "error: input is not positive semidefinite: cosine mass -2.250e-01 at harmonic 2\n")
+        assert not (tmp_path / "c.json").exists()
 
     def test_all_zero_spectrum_checks_with_zero_residual(self, tmp_path, capsys):
         cfile = tmp_path / "c.json"
@@ -387,6 +412,14 @@ class TestBadInput:
                                        "--n", 0, "--seed", 0), "n >= 4"),
         "simulate-eps-n0": (("simulate", "--model", "param", "--a", 1, "--p", 1.5, "--n", 0,
                              "--eps", 1e-3, "--seed", 0), "n >= 4"),
+        "simulate-paths-0": (("simulate", "--model", "param", "--a", 1, "--p", 1.5,
+                              "--n", 64, "--paths", 0, "--seed", 0),
+                             "error: need at least one replicate"),
+        "simulate-bridge-paths-0": (("simulate", "--model", "bridge:plain", "--n", 64,
+                                     "--paths", 0, "--seed", 0),
+                                    "error: need at least one replicate"),
+        "regularity-coeffs-k-min-0": (("regularity", "--coeffs", "{valid}", "--k-min", 0),
+                                      "error: need 1 <= k_min < k_max <= support"),
         "regularity-in-k-min": (("regularity", "--in", "{path}", "--k-min", 0),
                                 "apply only to --coeffs"),
         "regularity-in-k-max": (("regularity", "--in", "{path}", "--k-max", 8),
@@ -676,11 +709,12 @@ class TestNonFiniteCells:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'in.csv'}: first column is not the uniform grid j/n" in err
 
-    @pytest.mark.parametrize("command", ["fit", "regularity"])
+    @pytest.mark.parametrize("command", ["fit", "g2c", "regularity"])
     def test_nan_value_cell_names_the_file(self, tmp_path, capsys, command):
-        assert self._run(tmp_path, command, 9, 1) == (2, False)
+        code, kind = (4, "covariogram") if command == "g2c" else (2, "path")
+        assert self._run(tmp_path, command, 9, 1) == (code, False)
         err = capsys.readouterr().err
-        assert f"error: {tmp_path / 'in.csv'}: path values must be finite" in err
+        assert f"error: {tmp_path / 'in.csv'}: {kind} values must be finite" in err
 
     def test_nan_in_another_column_does_not_stop_a_fit(self, tmp_path):
         assert self._run(tmp_path, "fit", 9, 3) == (0, True)
@@ -869,6 +903,19 @@ def test_only_fit_and_eps_load_scipy(tmp_path):
     assert not [m for m in result["after_fit"] if m.split(".")[:2] == ["scipy", "stats"]]
 
 
+def test_python_m_periodicgp_writes_what_main_writes(tmp_path, monkeypatch):
+    argv = ["simulate", "--model", "param", "--a", "1", "--p", "1.5", "--n", "64",
+            "--paths", "2", "--seed", "5", "--out"]
+    assert main([*argv, str(tmp_path / "main")]) == 0
+    monkeypatch.setattr(sys, "argv", ["periodicgp", *argv, str(tmp_path / "module")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("periodicgp", run_name="__main__")
+    assert exc.value.code == 0
+    for suffix in (".csv", ".meta.json"):
+        assert ((tmp_path / ("module" + suffix)).read_bytes()
+                == (tmp_path / ("main" + suffix)).read_bytes())
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--model"])  # missing value
@@ -904,6 +951,15 @@ def test_main_reaches_a_command_rebound_after_the_parser_is_built(argv, tmp_path
     monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"), reached.append)
     assert main(argv) == 0
     assert [a.command for a in reached] == [argv[0]]
+
+
+def test_main_releases_free_memory_after_every_command(tmp_path, monkeypatch):
+    import periodicgp.cli as cli
+    released = []
+    monkeypatch.setattr(cli, "_release_free_memory", released.append)
+    assert run("regularity", "--coeffs", "bridge", "--out", tmp_path / "ok.json") == 0
+    assert run("fit", "--in", tmp_path / "missing.csv", "--out", tmp_path / "fit") == 2
+    assert released == [0, 0]
 
 
 @pytest.mark.parametrize("model", ["bridge:nope", "nope"])

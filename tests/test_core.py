@@ -32,6 +32,7 @@ from periodicgp.core import (
     write_json,
     write_paths_csv,
 )
+from periodicgp.regularity import structure_function
 from periodicgp.synthesis import RngStream, empirical_covariogram, sample_ensemble, sample_path
 
 
@@ -272,6 +273,49 @@ def test_every_entry_taking_n_applies_the_one_grid_rule(entry, n):
     assert str(info.value) == f"grid size must be a power of two, n >= 4, got {n}"
 
 
+# refusals that only a library caller reaches: (call, exact class, exact message)
+LIBRARY_REFUSALS = {
+    "SpectralCoefficients-nan": (lambda: SpectralCoefficients(math.nan, []),
+                                 SpectrumError, "coefficients must be finite"),
+    "validate_coefficients-empty": (lambda: validate_coefficients([]), ValueError,
+                                    "need at least the lag-zero coefficient c0"),
+    "validate_coefficients-nested": (lambda: validate_coefficients([[1.0, 2.0]]), ValueError,
+                                     "coefficients must form a flat sequence"),
+    "Covariogram-2d": (lambda: Covariogram(np.ones((4, 4))), ValueError,
+                       "covariogram values must be a flat array"),
+    "GridPath-short": (lambda: GridPath(8, np.zeros(4)), ValueError,
+                       "values must be a flat array of length n"),
+    "RegularityReport-negative-m": (lambda: RegularityReport(3.0, -1, 0.5), ValueError,
+                                    "derivative count must be nonnegative"),
+    "RegularityReport-zero-bound": (lambda: RegularityReport(3.0, 0, 0.0), ValueError,
+                                    "holder_bound must lie in (0, 1]"),
+    "synthesize-mismatched": (lambda: dft.synthesize(dft.HarmonicDecomposition(
+        8, 0.0, np.zeros(3), np.zeros(2), 0.0)), ValueError,
+        "harmonic arrays must have length n/2 - 1"),
+    "cosine_table-2d": (lambda: dft.cosine_table(np.ones((4, 4)), 0), ValueError,
+                        "quadrature needs a flat sample grid"),
+    "model_coefficients-K0": (lambda: fit.model_coefficients(ParametricModel(1.0, 1.5), 0),
+                              ValueError, "need at least one harmonic"),
+    "proof_identity-k0": (lambda: bridge.proof_identity(0, 10), ValueError,
+                          "harmonic index k must be >= 1"),
+    "structure_function-no-lag": (lambda: structure_function(_small_ensemble(), []),
+                                  ValueError, "need at least one lag"),
+    "RngStream-negative-stream": (lambda: RngStream(0, -1), ValueError,
+                                  "stream id must be nonnegative"),
+    "empirical_covariogram-no-lag": (lambda: empirical_covariogram(_small_ensemble(), []),
+                                     ValueError, "need at least one lag"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_REFUSALS))
+def test_each_library_refusal_raises_its_class_and_message(name):
+    call, cls, message = LIBRARY_REFUSALS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
 class TestParametricModel:
     def test_p_must_exceed_half(self):
         with pytest.raises(ValueError, match="exceed 1/2"):
@@ -484,6 +528,13 @@ class TestFileFormats:
         f = tmp_path / "m.json"
         with pytest.raises(ValueError, match="non-finite"):
             write_json({"ok": 1.0, "bad": value}, f)
+        assert not f.exists()
+
+    def test_json_refuses_an_unserializable_object_before_opening(self, tmp_path):
+        f = tmp_path / "m.json"
+        with pytest.raises(TypeError) as info:
+            write_json({"x": object()}, f)
+        assert str(info.value) == "object is not JSON serializable"
         assert not f.exists()
 
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))

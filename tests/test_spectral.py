@@ -1,9 +1,11 @@
 """Covariogram <-> coefficient transforms and the empirical estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodicgp import bridge, spectral, synthesis
 from periodicgp.core import (
@@ -71,6 +73,40 @@ class TestCovariogramToCoeffs:
         with pytest.warns(UserWarning):
             c = covariogram_to_coeffs(g, K=4)
         assert c.c[2] == 0.0
+
+    def test_zero_mean_table_at_large_scale_round_trips(self):
+        # c0 = 0 and c_k near 1e4: C(0) is about 4e11, and the transform's rounding with it
+        rng = np.random.default_rng(18)
+        c = rng.uniform(1e3, 1e4, 2047)
+        c[[5, 900]] = 0.0
+        g = coeffs_to_covariogram(SpectralCoefficients(0.0, c), 4096)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = covariogram_to_coeffs(g, K=2047)
+        assert back.c0 == back.c[5] == back.c[900] == 0.0
+        assert np.allclose(back.c, c, rtol=1e-9, atol=0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c0=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+           k=st.integers(0, 64), dent=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-7]))
+    def test_decision_is_the_same_at_every_scale(self, c0, seed, k, dent):
+        # a table minus dent * C(0) * cos(2 pi k d); scaling by a power of two is exact, and
+        # while C(0) >= 1 the tolerance scales with the table, so the outcome cannot change
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(0, 1, 63) * (rng.uniform(size=63) > 0.3)
+        v = coeffs_to_covariogram(SpectralCoefficients(c0, c), 128).values * 2.0 ** 20
+        v = v - dent * v[0] * np.cos(2 * np.pi * k * _grid(128))
+
+        def outcome(scale):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    covariogram_to_coeffs(Covariogram(v * scale), K=63)
+                except SpectrumError:
+                    return "refused"
+            return "warned" if caught else "accepted"
+
+        assert outcome(2.0 ** -20) == outcome(1.0) == outcome(2.0 ** 20)
 
 
 class TestCoeffsToCovariogram:
