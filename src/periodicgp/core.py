@@ -55,15 +55,6 @@ def check_grid(n) -> None:
         raise ValueError(f"grid size must be a power of two, n >= 4, got {n}")
 
 
-def negative_mass_tolerance(c0_sq: float) -> float:
-    """Clamp threshold for spurious negative spectral mass.
-
-    Scaled to the quadrature noise floor observed on valid covariograms at
-    grid size 4096, with an absolute floor for the c0 = 0 case.
-    """
-    return max(1e-9 * c0_sq, 1e-12)
-
-
 def _readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
@@ -152,9 +143,10 @@ def validate_coefficients(raw: Sequence[float],
                           declared_tail: TailDecay | None = None) -> SpectralCoefficients:
     """Build SpectralCoefficients from raw values (c0 first), clamping noise.
 
-    Negative entries within the clamp tolerance are set to zero; anything
-    materially negative is rejected, since a valid covariance spectrum has
-    no negative mass.  Idempotent on already-valid input.
+    A negative entry within 1e-9 times the largest |entry| (c0 included) is
+    set to zero; a larger one is a SpectrumError, since a valid covariance
+    spectrum has no negative mass.  The rule scales with the input, so no
+    decision depends on its units.  Idempotent on already-valid input.
     """
     arr = np.asarray(list(raw), dtype=float)
     if arr.size == 0:
@@ -163,8 +155,7 @@ def validate_coefficients(raw: Sequence[float],
         raise ValueError("coefficients must form a flat sequence")
     if not np.all(np.isfinite(arr)):
         raise SpectrumError("coefficients must be finite")
-    tol = negative_mass_tolerance(float(arr[0]) * float(arr[0]))  # inf, not OverflowError
-    if np.any(arr < -tol):
+    if np.any(arr < -1e-9 * float(np.max(np.abs(arr)))):
         raise SpectrumError("negative spectral mass")
     arr = np.where(arr < 0.0, 0.0, arr)
     return SpectralCoefficients(float(arr[0]), arr[1:], declared_tail)

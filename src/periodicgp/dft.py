@@ -1,4 +1,4 @@
-"""Real-input harmonic analysis and periodic quadrature on power-of-two grids.
+"""Real-input harmonic analysis and synthesis on power-of-two grids.
 
 For samples x_j at t = j/n the decomposition conventions are
 
@@ -10,10 +10,6 @@ For samples x_j at t = j/n the decomposition conventions are
 exact for trigonometric polynomials of degree below n/2, with Parseval
 
     (1/n) sum x_j^2 = mean^2 + (1/2) sum_k (sin_k^2 + cos_k^2) + nyquist^2.
-
-cosine_table(f, K)[k] = (1/n) sum f_j cos(2 pi k j / n) is the rectangle
-rule for integral f(s) cos(2 pi k s) ds, spectrally accurate for smooth
-periodic f and O(n^-2) when f has a kink on a grid point.
 
 Batched transforms run over stacked rows, ROW_BUDGET grid values at a time.
 """
@@ -98,14 +94,3 @@ def check_harmonics(K: int, n: int) -> None:
         raise ValueError(f"harmonic count K must be nonnegative, got {K}")
     if K >= n // 2:
         raise AliasingError(f"harmonic {K} is aliased on a grid of size {n}")
-
-
-def cosine_table(samples, K: int) -> np.ndarray:
-    """Rectangle-rule cosine integrals (1/n) sum f_j cos(2 pi k j / n), k = 0..K."""
-    f = np.asarray(samples, dtype=float)
-    n = f.size
-    if f.ndim != 1:
-        raise ValueError("quadrature needs a flat sample grid")
-    check_grid(n)
-    check_harmonics(K, n)
-    return np.fft.rfft(f)[:K + 1].real / n

@@ -75,6 +75,8 @@ def _harmonic_energy(h: dft.HarmonicDecomposition, K: int) -> np.ndarray:
     if not np.all(np.isfinite(T)):
         raise ValueError("harmonic energy sin_k^2 + cos_k^2 overflows the float range")
     if not np.any(T > _ENERGY_FLOOR):
+        if np.any(T):  # a constant path has none; a tiny one has some, all below the floor
+            raise ValueError(f"every harmonic energy is below {_ENERGY_FLOOR:g}; rescale the path")
         raise DegenerateDataError("degenerate observation: no harmonic energy")
     return T
 

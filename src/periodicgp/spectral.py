@@ -21,7 +21,6 @@ from .core import (
     SpectralCoefficients,
     SpectrumError,
     check_grid,
-    negative_mass_tolerance,
     read_grid_csv,
     write_table_csv,
 )
@@ -43,14 +42,17 @@ def covariogram_to_coeffs(g: Covariogram, K: int) -> SpectralCoefficients:
     Returns
     -------
     SpectralCoefficients
-        c_k = sqrt(max(0, quadrature value)).  Mass at any harmonic 0..n/2,
-        not only up to K, more negative than the clamp tolerance aborts: the
-        input cannot be a covariance function.  The tolerance grows with
-        c0^2 and with C(0), the scale of the transform's rounding.
+        c_k = sqrt(max(0, mass_k)), where mass_k = (1/n) sum_j C(j/n) cos(2 pi k j / n)
+        is the rectangle rule for the k-th cosine integral: spectrally accurate
+        for smooth periodic C, O(n^-2) when C has a kink on a grid point.
+        Mass at any harmonic 0..n/2, not only up to K, below
+        -tol = -max(1e-9 c0^2, 1e-12 C(0)) aborts: the input cannot be a
+        covariance function.  tol scales with the table, as rounding does, so
+        neither the decision nor the coefficients depend on its units.
     """
     dft.check_harmonics(K, g.n)
-    mass = np.fft.rfft(g.values).real / g.n  # dft.cosine_table's quadrature, k = 0..n/2
-    tol = max(negative_mass_tolerance(max(float(mass[0]), 0.0)), 1e-12 * abs(g.values[0]))
+    mass = np.fft.rfft(g.values).real / g.n  # k = 0..n/2
+    tol = max(1e-9 * float(mass[0]), 1e-12 * abs(float(g.values[0])))
     worst = float(np.min(mass))
     if worst < -tol:
         raise SpectrumError(

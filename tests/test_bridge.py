@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from periodicgp import bridge, synthesis
-from periodicgp.core import AliasingError, TailDecay
+from periodicgp.core import AliasingError, PathEnsemble, TailDecay
 from periodicgp.synthesis import RngStream, empirical_covariogram
 
 
@@ -163,6 +163,19 @@ class TestDecomposition:
     def test_band_parameter_respected(self):
         strict = bridge.decomposition_check(2000, 128, master_seed=1, band=1e-9)
         assert not strict.passed
+
+    @pytest.mark.parametrize("scale, var_ok", [(1.0, True), (1.025, False), (1.05, False)])
+    def test_var_z_band_refuses_a_scaled_law(self, monkeypatch, scale, var_ok):
+        # paths x scale move Var(Z) by scale^2: at R = 20,000 and seed 0 that is z = -0.5,
+        # +4.4 and +8.9 standard errors, so x 1.025 also fails a band twice as wide
+        ensemble = bridge.bridge_ensemble
+
+        def scaled(*args, **kwargs):
+            e = ensemble(*args, **kwargs)
+            return PathEnsemble(e.n, e.values * scale)
+
+        monkeypatch.setattr(bridge, "bridge_ensemble", scaled)
+        assert bridge.decomposition_check(20000, 64, master_seed=0).var_ok is var_ok
 
 
 class TestProofIdentity:

@@ -449,6 +449,8 @@ class TestBadInput:
                                 "--grid", 128), "--grid does not apply to --direction g2c"),
         # every T_k is finite, but a^2(p) overflows even at p-min, so no bounds can help
         "fit-path-scale-out-of-range": (("fit", "--in", "{huge}"), "rescale the path"),
+        # every T_k is nonzero but below the floor: too small to fit, not degenerate
+        "fit-path-too-small": (("fit", "--in", "{tiny}"), "rescale the path"),
         "fit-grid-not-power-of-two": (("fit", "--in", "{three}"),
                                       "{three}: grid size 3 is not a power of two"),
         "transform-g2c-grid-not-power-of-two": (("transform", "--direction", "g2c",
@@ -466,6 +468,8 @@ class TestBadInput:
         write_paths_csv(np.sin(2 * np.pi * np.arange(64) / 64), path)
         huge = tmp_path / "huge.csv"
         write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e154, huge)
+        tiny = tmp_path / "tiny.csv"
+        write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e-152, tiny)
         cov = tmp_path / "cov.csv"
         spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(64), cov)
         three, three_cov = tmp_path / "three.csv", tmp_path / "three_cov.csv"
@@ -474,8 +478,8 @@ class TestBadInput:
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
-        files = dict(coeffs=coeffs, valid=valid, path=path, huge=huge, cov=cov, three=three,
-                     three_cov=three_cov)
+        files = dict(coeffs=coeffs, valid=valid, path=path, huge=huge, tiny=tiny, cov=cov,
+                     three=three, three_cov=three_cov)
         argv = [str(a).format(**files) for a in argv]
         message = message.format(**files)
         assert run(*argv, "--out", out / "x") == 2

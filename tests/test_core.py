@@ -24,7 +24,6 @@ from periodicgp.core import (
     SpectrumError,
     TailDecay,
     h_norm,
-    negative_mass_tolerance,
     read_coefficients,
     read_paths_csv,
     validate_coefficients,
@@ -49,6 +48,24 @@ class TestValidateCoefficients:
     def test_material_negative_mass_rejected(self):
         with pytest.raises(ValueError, match="negative spectral mass"):
             validate_coefficients((1.0, -0.3))
+
+    @pytest.mark.parametrize("raw, refused", [((1.0, -2e-9), True), ((1e6, -500.0), True),
+                                              ((0.0, 1.0, -5e-10), False),
+                                              ((1.0, -5e-10), False)],
+                             ids=["c0-1-refused", "c0-1e6-refused", "c0-0-clamped",
+                                  "c0-1-clamped"])
+    def test_decision_is_the_same_at_every_scale(self, raw, refused):
+        # the tolerance is 1e-9 of the largest |entry|, so a power-of-two scale moves it
+        # exactly with the input: one decision, and the same clamped values once unscaled
+        for scale in (2.0 ** -40, 1.0, 2.0 ** 40):
+            scaled = [scale * x for x in raw]
+            if refused:
+                with pytest.raises(SpectrumError, match="negative spectral mass"):
+                    validate_coefficients(scaled)
+            else:
+                c = validate_coefficients(scaled)
+                assert c.c0 / scale == raw[0]
+                assert np.array_equal(c.c / scale, np.maximum(raw[1:], 0.0))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -154,14 +171,6 @@ class TestSpectralCoefficients:
             SpectralCoefficients(1.0, c)
 
 
-class TestNegativeMassTolerance:
-    def test_scales_with_variance(self):
-        assert negative_mass_tolerance(1.0) == pytest.approx(1e-9)
-
-    def test_absolute_floor(self):
-        assert negative_mass_tolerance(0.0) == pytest.approx(1e-12)
-
-
 class TestCovariogram:
     def test_at_takes_lags_modulo_one(self):
         g = Covariogram(1 + np.cos(2 * np.pi * np.arange(8) / 8))
@@ -257,7 +266,6 @@ GRID_ENTRIES = {
        for v in bridge.VARIANTS},
     "coeffs_to_covariogram":
         lambda n: spectral.coeffs_to_covariogram(SpectralCoefficients(1.0, ()), n),
-    "cosine_table": lambda n: dft.cosine_table(np.zeros(n), 0),
     "synthesize": lambda n: dft.synthesize(_zero_harmonics(n)),
 }
 
@@ -292,8 +300,6 @@ LIBRARY_REFUSALS = {
     "synthesize-mismatched": (lambda: dft.synthesize(dft.HarmonicDecomposition(
         8, 0.0, np.zeros(3), np.zeros(2), 0.0)), ValueError,
         "harmonic arrays must have length n/2 - 1"),
-    "cosine_table-2d": (lambda: dft.cosine_table(np.ones((4, 4)), 0), ValueError,
-                        "quadrature needs a flat sample grid"),
     "model_coefficients-K0": (lambda: fit.model_coefficients(ParametricModel(1.0, 1.5), 0),
                               ValueError, "need at least one harmonic"),
     "proof_identity-k0": (lambda: bridge.proof_identity(0, 10), ValueError,

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodicgp.core import AliasingError, GridPath
+from periodicgp.core import GridPath
 from periodicgp.dft import (
     HarmonicDecomposition,
     analyze,
-    cosine_table,
     synthesize,
 )
 
@@ -85,43 +84,3 @@ def test_analysis_is_linear(alpha, beta):
     assert np.allclose(hz.sin_coef, alpha * hx.sin_coef + beta * hy.sin_coef, atol=1e-12)
     assert np.allclose(hz.cos_coef, alpha * hx.cos_coef + beta * hy.cos_coef, atol=1e-12)
     assert hz.mean == pytest.approx(alpha * hx.mean + beta * hy.mean, abs=1e-12)
-
-
-class TestCosineQuadrature:
-    def test_constant_at_zero_frequency(self):
-        assert cosine_table(np.ones(16), 0)[0] == pytest.approx(1.0)
-
-    def test_constant_orthogonal_to_higher_harmonics(self):
-        assert cosine_table(np.ones(16), 3)[3] == pytest.approx(0.0, abs=1e-15)
-
-    def test_bridge_covariogram_second_harmonic(self):
-        # smooth periodic integrand: value 1/(16 pi^2) to quadrature accuracy
-        s = np.arange(4096) / 4096
-        f = (s - 0.5) ** 2 / 2 + 1 / 24
-        target = 1 / (16 * np.pi**2)
-        assert cosine_table(f, 2)[2] == pytest.approx(target, abs=1e-7)
-
-    def test_aliased_frequency_rejected(self):
-        with pytest.raises(AliasingError):
-            cosine_table(np.ones(16), 8)
-
-    def test_negative_harmonic_count_is_not_aliasing(self):
-        with pytest.raises(ValueError, match="nonnegative") as info:
-            cosine_table(np.ones(16), -1)
-        assert not isinstance(info.value, AliasingError)
-
-    def test_consistency_with_analyze(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(32)
-        h = analyze(_path(x))
-        assert cosine_table(x, 0)[0] == pytest.approx(h.mean, rel=1e-12)
-        for k in (1, 5, 11):
-            assert cosine_table(x, k)[k] == pytest.approx(h.cos_coef[k - 1] / 2,
-                                                          rel=1e-10, abs=1e-14)
-
-    def test_table_matches_per_harmonic_calls(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal(64)
-        table = cosine_table(x, 10)
-        for k in range(11):  # every shorter table is a prefix of the longer one
-            assert table[k] == pytest.approx(cosine_table(x, k)[k], rel=1e-12, abs=1e-15)

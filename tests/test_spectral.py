@@ -87,26 +87,30 @@ class TestCovariogramToCoeffs:
         assert np.allclose(back.c, c, rtol=1e-9, atol=0.0)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(c0=st.sampled_from([0.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+    @given(c0=st.sampled_from([0.0, 0.01, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
            k=st.integers(0, 64), dent=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-7]))
     def test_decision_is_the_same_at_every_scale(self, c0, seed, k, dent):
         # a table minus dent * C(0) * cos(2 pi k d); scaling by a power of two is exact, and
-        # while C(0) >= 1 the tolerance scales with the table, so the outcome cannot change
+        # the tolerance scales with the table, so neither the outcome nor the coefficients
+        # (unscaled) can change, down to tables far below C(0) = 1
         rng = np.random.default_rng(seed)
         c = rng.uniform(0, 1, 63) * (rng.uniform(size=63) > 0.3)
-        v = coeffs_to_covariogram(SpectralCoefficients(c0, c), 128).values * 2.0 ** 20
+        v = coeffs_to_covariogram(SpectralCoefficients(c0, c), 128).values
         v = v - dent * v[0] * np.cos(2 * np.pi * k * _grid(128))
 
         def outcome(scale):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    covariogram_to_coeffs(Covariogram(v * scale), K=63)
+                    back = covariogram_to_coeffs(Covariogram(v * scale), K=63)
                 except SpectrumError:
-                    return "refused"
-            return "warned" if caught else "accepted"
+                    return "refused", b""
+            unscaled = np.concatenate(([back.c0], back.c)) / math.sqrt(scale)
+            return "warned" if caught else "accepted", unscaled.tobytes()
 
-        assert outcome(2.0 ** -20) == outcome(1.0) == outcome(2.0 ** 20)
+        at_one = outcome(1.0)
+        for scale in (2.0 ** -40, 2.0 ** -20, 2.0 ** 20):
+            assert outcome(scale) == at_one, scale
 
 
 class TestCoeffsToCovariogram:

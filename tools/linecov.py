@@ -5,7 +5,8 @@
 pytest runs in this process; sys.settrace follows only frames of src/periodicgp in
 this thread (subprocesses and other threads are not seen) and slows the suite by
 about a third.  The exit code is 1 when any line never ran, and pytest's otherwise,
-so CI holds the count at zero.
+so CI holds the count at zero.  Last it prints the size of src/periodicgp, in all and
+per module.
 """
 
 import sys
@@ -44,6 +45,9 @@ def main(args) -> int:
     for path, line in missed:
         print(f"{path.relative_to(SRC.parent)}:{line}: {path.read_text().splitlines()[line - 1]}")
     print(f"{len(missed)} lines of src/periodicgp never ran")
+    sizes = {path.name: path.read_text().count("\n") for path in sorted(Path(PACKAGE).glob("*.py"))}
+    print(f"src/periodicgp is {sum(sizes.values())} lines (as `wc -l` counts them): "
+          + ", ".join(f"{name} {count}" for name, count in sizes.items()))
     return 1 if missed else int(code)
 
 
