@@ -49,6 +49,13 @@ class TestValidateCoefficients:
         with pytest.raises(ValueError, match="negative spectral mass"):
             validate_coefficients((1.0, -0.3))
 
+    def test_entry_at_the_tolerance_is_clamped(self):
+        # the bound is inclusive: -1e-9 of the largest |entry| is clamped, a step past refused
+        c = validate_coefficients((2.0, 0.5, -2e-9))
+        assert np.array_equal(c.c, (0.5, 0.0))
+        with pytest.raises(SpectrumError, match="negative spectral mass"):
+            validate_coefficients((2.0, 0.5, -np.nextafter(2e-9, 1.0)))
+
     @pytest.mark.parametrize("raw, refused", [((1.0, -2e-9), True), ((1e6, -500.0), True),
                                               ((0.0, 1.0, -5e-10), False),
                                               ((1.0, -5e-10), False)],

@@ -152,6 +152,18 @@ class TestFitMle:
         with pytest.raises(DegenerateDataError, match="degenerate observation"):
             fit_mle(GridPath(256, np.full(256, 4.0)))
 
+    def test_tiny_path_is_refused_not_degenerate(self):
+        # every T_k is nonzero but below 1e-300: a units problem, not a constant path
+        path = _noise_free_path(1.0, 1.5, 511, 1024)
+        with pytest.raises(ValueError, match="rescale the path") as info:
+            fit_mle(GridPath(1024, path.values * 2.0 ** -505))
+        assert not isinstance(info.value, DegenerateDataError)
+
+    def test_p_hat_is_the_same_down_to_the_energy_floor(self):
+        path = _noise_free_path(1.0, 1.5, 511, 1024)
+        small = fit_mle(GridPath(1024, path.values * 2.0 ** -480))
+        assert small.p_hat == pytest.approx(fit_mle(path).p_hat, abs=1e-14)
+
     def test_nonzero_mean_reported_not_fitted(self):
         path = _noise_free_path(1.0, 1.5, 100, 512)
         shifted = GridPath(512, path.values + 7.0)

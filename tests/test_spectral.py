@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodicgp import bridge, spectral, synthesis
+from periodicgp import bridge, dft, spectral, synthesis
 from periodicgp.core import (
     AliasingError,
     Covariogram,
+    GridPath,
     PathEnsemble,
     SpectralCoefficients,
     SpectrumError,
@@ -73,6 +74,49 @@ class TestCovariogramToCoeffs:
         with pytest.warns(UserWarning):
             c = covariogram_to_coeffs(g, K=4)
         assert c.c[2] == 0.0
+
+    def test_negative_mass_above_K_is_refused(self):
+        # the check covers every harmonic 0..n/2, not only the K extracted: here the Nyquist
+        d = _grid(64)
+        v = 1 + 0.5 * np.cos(2 * np.pi * d) - 1e-6 * np.cos(np.pi * 64 * d)
+        with pytest.raises(SpectrumError, match="cosine mass -1.000e-06 at harmonic 32"):
+            covariogram_to_coeffs(Covariogram(v), K=4)
+
+    def test_tiny_table_has_no_absolute_floor(self):
+        # c0 = 0 and C(0) = 8e-4: a cosine mass of -5e-13 is 6e-10 of C(0), far past
+        # tol = 1e-12 C(0); an absolute 1e-12 floor would have let it through
+        d = _grid(64)
+        v = 8e-4 * np.cos(2 * np.pi * d) - 1e-12 * np.cos(2 * np.pi * 3 * d)
+        with pytest.raises(SpectrumError, match="at harmonic 3"):
+            covariogram_to_coeffs(Covariogram(v), K=8)
+
+    def test_noise_level_positive_mass_snaps_to_zero(self):
+        # mass 5e-10 is below tol = 1e-9 c0^2: snapped to zero, not sqrt-amplified to 2e-5
+        d = _grid(1024)
+        v = 1 + 0.5 * np.cos(2 * np.pi * d) + 1e-9 * np.cos(2 * np.pi * 3 * d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = covariogram_to_coeffs(Covariogram(v), K=4)
+        assert c.c[2] == 0.0
+        assert c.c[0] == pytest.approx(0.5, rel=1e-12)
+
+    def test_masses_agree_with_analyze(self):
+        # the quadrature mass c_k^2 is half the k-th cosine coefficient of the table itself
+        rng = np.random.default_rng(3)
+        g = coeffs_to_covariogram(SpectralCoefficients(0.7, rng.uniform(0.1, 1.0, 31)), 64)
+        h = dft.analyze(GridPath(64, g.values))
+        back = covariogram_to_coeffs(g, K=31)
+        assert back.c0 ** 2 == pytest.approx(h.mean, rel=1e-12)
+        assert np.allclose(back.c ** 2, h.cos_coef / 2, rtol=1e-10, atol=1e-14)
+
+    def test_shorter_K_is_a_prefix(self):
+        rng = np.random.default_rng(4)
+        g = coeffs_to_covariogram(SpectralCoefficients(1.0, rng.uniform(0.0, 1.0, 63)), 128)
+        full = covariogram_to_coeffs(g, K=63)
+        for K in (0, 1, 10, 62):
+            short = covariogram_to_coeffs(g, K=K)
+            assert short.c0 == full.c0
+            assert np.array_equal(short.c, full.c[:K])
 
     def test_zero_mean_table_at_large_scale_round_trips(self):
         # c0 = 0 and c_k near 1e4: C(0) is about 4e11, and the transform's rounding with it
