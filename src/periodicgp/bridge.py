@@ -22,6 +22,7 @@ behind the Gaussianity of the centered construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -82,13 +83,13 @@ def resolve_truncation(variant: str, n: int, M: int | None = None) -> int:
     return n // 2 - 1 if variant == "centered_series" else n // 2
 
 
-def _sine_rows(variant: str, n: int, M: int | None, gens) -> np.ndarray:
+def _sine_rows(variant: str, n: int, M: int | None, gens, out=None) -> np.ndarray:
     """Sine-series bridge rows on j/n, one per generator, through one transform.
 
     Each generator draws the centered_shift offset first, then its W block.
     sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n: Im F_k
-    of its half spectrum is set to -n sqrt2 W_k / (k pi).  centered_shift rotates
-    rows by their offsets (two slice copies), centralized subtracts row means.
+    of its half spectrum is set to -n sqrt2 W_k / (k pi).  Into out (or new rows),
+    centered_shift rotates them by their offsets, centralized subtracts row means.
     """
     check_grid(n)
     M = resolve_truncation(variant, n, M)
@@ -104,14 +105,15 @@ def _sine_rows(variant: str, n: int, M: int | None, gens) -> np.ndarray:
     F.imag[:, 1:M + 1] = -n * (SQRT2 * w / (np.arange(1, M + 1) * np.pi))
     values = np.fft.irfft(F, 2 * n, axis=1)[:, :n]
     values[:, 0] = 0.0  # sin(0) = 0; pin the fixed end against transform rounding
+    out = np.empty_like(values) if out is None else out
     if variant == "centered_shift":
-        rows = np.empty_like(values)
-        for row, x, s in zip(rows, values, shifts):
+        for row, x, s in zip(out, values, shifts):
             row[s:], row[:s] = x[:n - s], x[n - s:]
-        return rows
-    if variant == "centralized":
-        return values - values.mean(axis=1, keepdims=True)
-    return values
+    elif variant == "centralized":
+        np.subtract(values, values.mean(axis=1, keepdims=True), out=out)
+    else:
+        out[:] = values
+    return out
 
 
 def plain_bridge_path(n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
@@ -124,7 +126,7 @@ def bridge_path(variant: str, n: int, M: int | None = None, rng: RngStream = Non
     if variant == "centered_series":
         return sample_path(centered_bridge_coefficients(),
                            resolve_truncation(variant, n, M), n, rng)
-    return _path(lambda gens: _sine_rows(variant, n, M, gens), n, rng)
+    return _path(functools.partial(_sine_rows, variant, n, M), n, rng)
 
 
 def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,
@@ -133,7 +135,7 @@ def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,
     if variant == "centered_series":
         return sample_ensemble(centered_bridge_coefficients(),
                                resolve_truncation(variant, n, M), n, R, master_seed)
-    return _ensemble(lambda gens: _sine_rows(variant, n, M, gens), R, n, master_seed, 2 * n)
+    return _ensemble(functools.partial(_sine_rows, variant, n, M), R, n, master_seed, 2 * n)
 
 
 class IdentityCheck(NamedTuple):

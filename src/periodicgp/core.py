@@ -55,10 +55,20 @@ def check_grid(n) -> None:
         raise ValueError(f"grid size must be a power of two, n >= 4, got {n}")
 
 
-def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float, order="C")
+def _readonly(a, copy: bool = True) -> np.ndarray:  # copy=False: a itself, or ValueError
+    out = np.array(a, dtype=float, order="C", copy=copy)
     out.flags.writeable = False
     return out
+
+
+class _Adopts:
+    @classmethod
+    def _adopt(cls, n: int, values: np.ndarray):
+        """cls(n, values) with its checks, but keeping the fresh array itself, made read-only."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(n=n, values=values)
+        obj.__post_init__(copy=False)
+        return obj
 
 
 @dataclass(frozen=True)
@@ -207,20 +217,20 @@ class Covariogram:
 
 
 @dataclass(frozen=True, eq=False)
-class GridPath:
+class GridPath(_Adopts):
     """One trajectory sampled at t = j/n on the periodic unit grid."""
 
     n: int
     values: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         check_grid(self.n)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.n,):
             raise ValueError("values must be a flat array of length n")
         if not np.all(np.isfinite(v)):
             raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _readonly(v, copy))
 
     @property
     def t(self) -> np.ndarray:
@@ -228,20 +238,20 @@ class GridPath:
 
 
 @dataclass(frozen=True, eq=False)
-class PathEnsemble:
+class PathEnsemble(_Adopts):
     """R independent replicate paths on a shared grid, row per replicate."""
 
     n: int
     values: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.n or v.shape[0] < 1:
             raise ValueError("ensemble values must have shape (R, n) with R >= 1")
         check_grid(self.n)
         if not np.all(np.isfinite(v)):
             raise ValueError("ensemble values must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "values", _readonly(v, copy))
 
     @property
     def R(self) -> int:

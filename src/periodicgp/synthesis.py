@@ -12,9 +12,10 @@ A path consumes one block of 1 + 2K standard normals laid out as
 so that two runs with the same stream but different truncations share the
 draws of every common harmonic.  The block is drawn straight into the float
 view of the half spectrum F, from Im F_0 on (Y_k, Y'_k land in Re F_k, Im F_k),
-and scaled there in place.  Replicate r of an ensemble always uses stream r;
-adding replicates never disturbs earlier ones, and the chunk size bounds
-memory and never changes a sample.
+and scaled there in place; each chunk's inverse transform writes its rows of the
+ensemble's one array, which is then wrapped read-only without a copy.  Replicate r
+of an ensemble always uses stream r; adding replicates never disturbs earlier ones,
+and the chunk size bounds memory and never changes a sample.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def truncation_index(c: SpectralCoefficients, eps: float) -> int:
     return hi
 
 
-def _series_rows(c: SpectralCoefficients, K: int, n: int, gens) -> np.ndarray:
-    """Rows of the series truncated at harmonic K on j/n, one per generator.
+def _series_rows(c: SpectralCoefficients, K: int, n: int, gens, out=None) -> np.ndarray:
+    """Rows of the series truncated at harmonic K on j/n, one per generator, in out if given.
 
     Each generator draws its own 1 + 2K block into its row of the half spectrum,
     and one inverse transform runs over the rows, so no row sees its neighbours.
@@ -183,39 +184,39 @@ def _series_rows(c: SpectralCoefficients, K: int, n: int, gens) -> np.ndarray:
         gen.standard_normal(out=flat[i, 1:2 + 2 * K])
     F[:, 0] = n * (c.c0 * F[:, 0].imag)
     F[:, 1:K + 1] *= -0.5j * n * (SQRT2 * c.materialize(K))  # n (c_k Y'_k - i c_k Y_k) / sqrt2
-    return np.fft.irfft(F, n, axis=1)
+    return np.fft.irfft(F, n, axis=1, out=out)
 
 
 def _path(rows, n: int, rng: RngStream) -> GridPath:
     """One path on j/n from rows([the generator of rng]); a missing stream is a usage error."""
     if rng is None:
         raise ValueError("sample paths need an RngStream")
-    return GridPath(n, rows([rng.generator()])[0])
+    return GridPath._adopt(n, rows([rng.generator()])[0])
 
 
 def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> GridPath:
     """One trajectory of the series truncated at harmonic K, on the grid j/n."""
-    return _path(lambda gens: _series_rows(c, K, n, gens), n, rng)
+    return _path(functools.partial(_series_rows, c, K, n), n, rng)
 
 
 def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsemble:
-    """R paths on j/n from rows(generators), replicate r from stream r, after checking R,
-    the grid and the seed; each chunk of replicates is sized so that their transform
-    rows, width values each, fit dft.ROW_BUDGET together."""
+    """R paths on j/n, replicate r from stream r, after checking R, the grid and the seed.
+    rows(generators, out) writes each chunk of replicates into its rows of the ensemble;
+    a chunk is sized so that its transform rows, width values each, fit dft.ROW_BUDGET."""
     if R < 1:
         raise ValueError("need at least one replicate")
     check_grid(n)
     master_seed = RngStream(master_seed).master_seed
     values = np.empty((R, n))
     for lo, hi in dft.row_chunks(R, width):
-        values[lo:hi] = rows(generators(master_seed, range(lo, hi)))
-    return PathEnsemble(n, values)
+        rows(generators(master_seed, range(lo, hi)), values[lo:hi])
+    return PathEnsemble._adopt(n, values)
 
 
 def sample_ensemble(c: SpectralCoefficients, K: int, n: int, R: int,
                     master_seed: int) -> PathEnsemble:
     """R independent paths; replicate r always draws from stream r."""
-    return _ensemble(lambda gens: _series_rows(c, K, n, gens), R, n, master_seed, n)
+    return _ensemble(functools.partial(_series_rows, c, K, n), R, n, master_seed, n)
 
 
 def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
@@ -233,10 +234,14 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     if np.any(d < 0) or np.any(d >= n):
         raise ValueError("lags must satisfy 0 <= d < n")
     out = np.empty((R, d.size))
+    chunks = dft.row_chunks(R, n)  # buffers for the first, largest chunk serve every chunk
+    spec, corr = np.empty((chunks[0][1], n // 2 + 1), complex), np.empty((chunks[0][1], n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in dft.row_chunks(R, n):
-            F = np.fft.rfft(v[lo:hi], axis=1)
-            out[lo:hi] = np.fft.irfft(F * F.conj(), n, axis=1)[:, d] / n
+        for lo, hi in chunks:
+            F = np.fft.rfft(v[lo:hi], axis=1, out=spec[:hi - lo])
+            # F * F.conj(), not np.multiply(F, np.conjugate(F)): from 256 KiB numpy elides the
+            # temporary and computes conj(F) F, whose rounding the pinned lag products keep
+            out[lo:hi] = np.fft.irfft(F * F.conj(), n, axis=1, out=corr[:hi - lo])[:, d] / n
     if not np.all(np.isfinite(out)):
         raise ValueError("lag products overflow: |DFT|^2 of a path exceeds the float range")
     return out

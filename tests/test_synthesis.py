@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from periodicgp import bridge, dft, fit, regularity, synthesis
 from periodicgp.core import (
     AliasingError,
     DegenerateDataError,
+    GridPath,
     ParametricModel,
     PathEnsemble,
     SpectralCoefficients,
@@ -494,3 +496,88 @@ def test_benchmark_size_digests(case):
            "holder": _sha([holder.exponent, holder.stderr, holder.raw_slope])}
     assert got == PINNED_ENSEMBLE_DIGESTS[case], (
         f"digests pinned on numpy {PINNED_ON_NUMPY}; this is numpy {np.__version__}")
+
+
+# SHA-256 of replicate_lag_products at every lag, for one chunk whose half spectrum
+# lies below numpy's 256 KiB temporary-elision threshold (4 x 513 complex) and for
+# chunks above it (128 x 2049 complex).  Above it numpy computes F * F.conj() as
+# conj(F) F, which rounds differently from np.multiply(F, np.conjugate(F)).
+PINNED_LAG_PRODUCT_DIGESTS = {
+    (4, 1024): "c94f3cc8b4ddd2a5a2be5e69cc20fd829728f4cc208ede9468aba4ebc9f027e3",
+    (250, 4096): "ca8a8fe786bbd21f9c21d228982921361e285d36f4b854f018247af000d7335d",
+}
+
+
+@pytest.mark.parametrize("R, n", sorted(PINNED_LAG_PRODUCT_DIGESTS))
+def test_lag_product_digests_on_both_sides_of_elision(R, n):
+    values = np.random.default_rng([R, n]).standard_normal((R, n))
+    got = _sha(replicate_lag_products(values, np.arange(n)))
+    assert got == PINNED_LAG_PRODUCT_DIGESTS[R, n], (
+        f"digests pinned on numpy {PINNED_ON_NUMPY}; this is numpy {np.__version__}")
+
+
+def _peak_mib(call) -> float:
+    """Peak traced allocation of call(), in MiB, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceEnsembles:
+    """Samplers write their rows into the ensemble's own array and wrap it uncopied."""
+
+    COEFFS = fit.model_coefficients(ParametricModel(1.0, 1.1), 2047)
+
+    def test_series_ensemble_peak_is_one_ensemble_and_one_chunk(self):
+        # 7.81 MiB of rows and a 4.0 MiB half spectrum per 128-row chunk
+        peak = _peak_mib(lambda: sample_ensemble(self.COEFFS, 2047, 4096, 250, 5))
+        assert peak <= 12.5
+
+    def test_bridge_ensemble_peak(self):
+        # 15.6 MiB of rows, and a 4.0 MiB half spectrum and 4.0 MiB doubled-grid
+        # transform per 256-row chunk
+        peak = _peak_mib(lambda: bridge.bridge_ensemble("centered_shift", 2000, 1024, 5))
+        assert peak <= 25.5
+
+    def test_sampler_outputs_are_readonly_contiguous_float64(self):
+        outputs = [sample_ensemble(self.COEFFS, 7, 64, 3, 1).values,
+                   sample_path(self.COEFFS, 7, 64, RngStream(1, 0)).values]
+        for variant in bridge.VARIANTS:
+            outputs.append(bridge.bridge_ensemble(variant, 3, 64, 1, M=8).values)
+            outputs.append(bridge.bridge_path(variant, 64, 8, RngStream(1, 0)).values)
+        for values in outputs:
+            assert values.dtype == np.float64
+            assert values.flags.c_contiguous and not values.flags.writeable
+
+    def test_public_constructors_still_copy(self):
+        a = np.arange(16.0).reshape(2, 8)
+        e, path = PathEnsemble(8, a), GridPath(8, a[1])
+        assert not np.shares_memory(e.values, a) and not np.shares_memory(path.values, a)
+        assert a.flags.writeable
+        a[1, 0] = -1.0
+        assert e.values[1, 0] == 8.0 and path.values[0] == 8.0
+
+    def test_adopt_keeps_the_array(self):
+        a = np.arange(16.0).reshape(2, 8)
+        assert PathEnsemble._adopt(8, a).values is a and not a.flags.writeable
+        b = np.arange(8.0)
+        assert GridPath._adopt(8, b).values is b and not b.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_adopt_refuses_non_finite_values(self, bad):
+        rows = np.zeros((2, 8))
+        rows[1, 3] = bad
+        with pytest.raises(ValueError, match="ensemble values must be finite"):
+            PathEnsemble._adopt(8, rows)
+        with pytest.raises(ValueError, match="path values must be finite"):
+            GridPath._adopt(8, rows[1].copy())
+
+    def test_adopt_checks_shape_and_grid(self):
+        with pytest.raises(ValueError, match=r"shape \(R, n\)"):
+            PathEnsemble._adopt(8, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="grid size"):
+            GridPath._adopt(6, np.zeros(6))
