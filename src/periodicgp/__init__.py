@@ -42,7 +42,7 @@ from .bridge import (
     plain_bridge_path,
     proof_identity,
 )
-from .fit import FitResult, fit_mle, goodness_of_fit, model_coefficients, profile_amplitude
+from .fit import FitResult, fit_mle, goodness_of_fit, model_coefficients
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "model_coefficients",
     "plain_bridge_path",
     "predict_regularity",
-    "profile_amplitude",
     "proof_identity",
     "sample_ensemble",
     "sample_path",

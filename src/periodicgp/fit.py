@@ -30,7 +30,9 @@ constant, which the normalized weights do not see, the estimate is
 invariant under it to well below 1e-9.
 
 The path mean plays no role in the model (c0 = 0); it is removed by the
-harmonic analysis and reported separately.
+harmonic analysis and reported separately.  The public route is fit_mle, then
+goodness_of_fit or residual_report.  A fit and its check of one path share one
+analysis: _observe keeps the last path, its analysis and T (~2n + K floats).
 """
 
 from __future__ import annotations
@@ -68,7 +70,11 @@ def model_coefficients(model: ParametricModel, K: int) -> SpectralCoefficients:
     )
 
 
-def _harmonic_energy(h: dft.HarmonicDecomposition, K: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)  # safe: a GridPath is read-only, hashes by identity, is held here
+def _observe(path: GridPath, K: int):
+    """dft.analyze(path) and its T_k, k <= K, shared by a fit and its check.  Until the next
+    path, the one entry holds this path, h and T: ~2n + K floats, 18.0 MiB at n = 2^20."""
+    h = dft.analyze(path)
     dft.check_harmonics(K, h.n)
     with np.errstate(over="ignore"):
         T = h.sin_coef[:K] ** 2 + h.cos_coef[:K] ** 2
@@ -78,23 +84,11 @@ def _harmonic_energy(h: dft.HarmonicDecomposition, K: int) -> np.ndarray:
         if np.any(T):  # a constant path has none; a tiny one has some, all below the floor
             raise ValueError(f"every harmonic energy is below {_ENERGY_FLOOR:g}; rescale the path")
         raise DegenerateDataError("degenerate observation: no harmonic energy")
-    return T
-
-
-@functools.lru_cache(maxsize=1)  # safe: a GridPath is read-only, hashes by identity, is held here
-def _observe(path: GridPath, K: int):
-    """dft.analyze(path) and its T_k, k <= K, for the last path: a fit and its check share them."""
-    h = dft.analyze(path)
-    return h, _harmonic_energy(h, K)
+    return h, T
 
 
 def _amplitude_sq(T: np.ndarray, logk: np.ndarray, p: float) -> float:
     return float(np.sum(T * np.exp(2.0 * p * logk))) / (4.0 * T.size)
-
-
-def profile_amplitude(h: dft.HarmonicDecomposition, p: float, K: int) -> float:
-    """Closed-form profile maximizer a^2(p) = (1/(4K)) sum T_k k^(2p)."""
-    return _amplitude_sq(_harmonic_energy(h, K), np.log(np.arange(1, K + 1, dtype=float)), p)
 
 
 def _slope(T: np.ndarray, logk: np.ndarray):
@@ -229,12 +223,7 @@ class GoodnessReport:
     threshold: float
 
 
-def standardized_residuals(h: dft.HarmonicDecomposition, result: FitResult) -> np.ndarray:
-    """Residuals r_k = (sin_k^2 + cos_k^2) k^(2p) / (4 a^2), Exp(1) under the fitted model."""
-    return _residuals(_harmonic_energy(h, result.K_used), result)
-
-
-def _residuals(T: np.ndarray, result: FitResult) -> np.ndarray:
+def _residuals(T: np.ndarray, result: FitResult) -> np.ndarray:  # Exp(1) under the fit
     k = np.arange(1, result.K_used + 1, dtype=float)
     return T * k ** (2.0 * result.p_hat) / (4.0 * result.a_hat ** 2)
 

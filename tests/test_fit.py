@@ -2,10 +2,13 @@
 
 import ast
 import collections
+import dataclasses
+import gc
 import hashlib
 import math
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +28,21 @@ from periodicgp.fit import (
     fit_mle,
     goodness_of_fit,
     model_coefficients,
-    profile_amplitude,
     residual_report,
-    standardized_residuals,
 )
 
 
-def _decomposition(n, sin_coef, cos_coef):
-    return dft.HarmonicDecomposition(
-        n, 0.0, np.asarray(sin_coef, float), np.asarray(cos_coef, float), 0.0)
+def _amplitude_sq(sin_coef, cos_coef, p, K):
+    # a^2(p) = (1/(4K)) sum_{k<=K} T_k k^(2p), T_k = sin_k^2 + cos_k^2
+    T = (np.asarray(sin_coef, float) ** 2 + np.asarray(cos_coef, float) ** 2)[:K]
+    return fit._amplitude_sq(T, np.log(np.arange(1, K + 1, dtype=float)), p)
+
+
+def _reference_residuals(path, result):
+    # r_k = (sin_k^2 + cos_k^2) k^(2p) / (4 a^2) from a fresh analysis, in fit's operations
+    h, K = dft.analyze(path), result.K_used
+    T = h.sin_coef[:K] ** 2 + h.cos_coef[:K] ** 2
+    return T * np.arange(1, K + 1, dtype=float) ** (2.0 * result.p_hat) / (4.0 * result.a_hat ** 2)
 
 
 def _noise_free_path(a, p, K, n):
@@ -59,21 +68,19 @@ class TestProfileAmplitude:
         K, n = 16, 64
         k = np.arange(1, n // 2)
         amp = np.where(k <= K, math.sqrt(2) / k, 0.0)
-        h = _decomposition(n, amp, amp)
-        assert profile_amplitude(h, 1.0, K) == pytest.approx(1.0, rel=1e-12)
+        assert _amplitude_sq(amp, amp, 1.0, K) == pytest.approx(1.0, rel=1e-12)
 
     def test_doubling_harmonics_quadruples_energy(self):
         rng = np.random.default_rng(1)
         s, c = rng.standard_normal((2, 31))
-        one = profile_amplitude(_decomposition(64, s, c), 1.3, 16)
-        four = profile_amplitude(_decomposition(64, 2 * s, 2 * c), 1.3, 16)
+        one = _amplitude_sq(s, c, 1.3, 16)
+        four = _amplitude_sq(2 * s, 2 * c, 1.3, 16)
         assert four == pytest.approx(4 * one, rel=1e-12)
 
     def test_single_harmonic(self):
         s = np.zeros(31)
         s[0] = 2.0
-        h = _decomposition(64, s, np.zeros(31))
-        assert profile_amplitude(h, 1.0, 1) == pytest.approx(1.0, rel=1e-12)
+        assert _amplitude_sq(s, np.zeros(31), 1.0, 1) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestFitMle:
@@ -164,6 +171,16 @@ class TestFitMle:
         small = fit_mle(GridPath(1024, path.values * 2.0 ** -480))
         assert small.p_hat == pytest.approx(fit_mle(path).p_hat, abs=1e-14)
 
+    def test_p_hat_is_the_same_with_normal_energies_below_1e_300(self):
+        # 105 of 256 energies lie in [tiny, 1e-300]: normal floats that carry weight in g'.
+        # p_hat moves 2.3e-12; dropping them (keep = T > 1e-300 in _slope) moves it 0.334
+        m = model_coefficients(ParametricModel(1.0, 4.0), 511)
+        path = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(7, 1))
+        small = GridPath(1024, path.values * 2.0 ** -470)
+        T = fit._observe(small, 256)[1]
+        assert np.sum(T <= 1e-300) == 105 and T.min() >= np.finfo(float).tiny
+        assert fit_mle(small, K=256).p_hat == pytest.approx(fit_mle(path, K=256).p_hat, abs=1e-9)
+
     def test_nonzero_mean_reported_not_fitted(self):
         path = _noise_free_path(1.0, 1.5, 100, 512)
         shifted = GridPath(512, path.values + 7.0)
@@ -208,7 +225,7 @@ class TestGoodnessOfFit:
         m = model_coefficients(ParametricModel(1.0, 1.5), 511)
         path = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(5, 0))
         res = fit_mle(path)
-        r = standardized_residuals(dft.analyze(path), res)
+        r = _reference_residuals(path, res)
         assert r.shape == (res.K_used,)
         assert r.mean() == pytest.approx(goodness_of_fit(path, res).residual_mean)
 
@@ -240,9 +257,41 @@ class TestGoodnessOfFit:
             path = bridge.bridge_path("plain", 1024, rng=synthesis.RngStream(0, 0))
         res = fit_mle(path, K=K)
         rep = goodness_of_fit(path, res)
-        ks = kstest(standardized_residuals(dft.analyze(path), res), "expon")
+        ks = kstest(_reference_residuals(path, res), "expon")
         assert rep.ks_statistic == ks.statistic
         assert rep.ks_pvalue == ks.pvalue
+
+
+class TestSymmetries:
+    """The law of a stationary process is invariant under a circular shift, the reflection
+    j -> -j and negation, and the fit does not see the mean, so fitting and checking the
+    transformed path gives the untransformed path's estimates and KS statistic.  Worst
+    cases over these 45 transformed fits, against tolerances 1e-9 relative for p_hat and
+    a_hat and 1e-8 absolute for D: shift 2.0e-12 and 2.1e-11, reflection 1.7e-12 and
+    1.7e-11, constant 3.3e-12 and 3.5e-11; D 2.2e-12 or less (constant: 5.6e-12).
+    Negation flips the sign of every harmonic and leaves T_k alone, so it is exact."""
+
+    @staticmethod
+    def _fit_and_check(values):
+        path = GridPath(values.size, values)
+        result = fit_mle(path, K=256)
+        return result, goodness_of_fit(path, result)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("p", [0.75, 1.5, 3.0])
+    def test_shift_reflection_constant_and_negation(self, p, seed):
+        m = model_coefficients(ParametricModel(1.0, p), 511)
+        x = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(seed, 0)).values
+        base, base_check = self._fit_and_check(x)
+        for y in (np.roll(x, 1 + 97 * seed), np.roll(x[::-1], 1), x + 3.0):
+            result, check = self._fit_and_check(y)
+            assert result.p_hat == pytest.approx(base.p_hat, rel=1e-9)
+            assert result.a_hat == pytest.approx(base.a_hat, rel=1e-9)
+            assert check.ks_statistic == pytest.approx(base_check.ks_statistic, abs=1e-8)
+        result, check = self._fit_and_check(-x)
+        assert result.path_mean == -base.path_mean
+        assert repr(dataclasses.replace(result, path_mean=base.path_mean)) == repr(base)
+        assert repr(check) == repr(base_check)
 
 
 # sha256 over a_hat, p_hat, neg_log_likelihood, iterations and the GoodnessReport floats of
@@ -287,9 +336,21 @@ class TestSharedAnalysis:
         path_a, path_b = self._path(1), self._path(6)
         result_a = fit_mle(path_a, K=256)
         got = goodness_of_fit(path_b, result_a)
-        want = residual_report(standardized_residuals(dft.analyze(path_b), result_a))
+        want = residual_report(_reference_residuals(path_b, result_a))
         assert repr(got) == repr(want)  # repr keeps every bit of each float
         assert got != goodness_of_fit(path_a, result_a)
+
+    def test_memo_holds_the_last_path_only(self):
+        # the bound _observe's docstring states: one path and its analysis, no more
+        path = self._path(1)
+        fit_mle(path, K=256)
+        last = weakref.ref(path)
+        del path
+        gc.collect()
+        assert last() is not None  # the last path fitted stays in the memo
+        fit_mle(self._path(2), K=256)
+        gc.collect()
+        assert last() is None
 
 
 def _around(d):
