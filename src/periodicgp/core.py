@@ -273,7 +273,8 @@ class ParametricModel:
             raise ValueError("amplitude a must be positive, with a finite square: a^2 "
                              "must not underflow, nor 2a^2 overflow")
         if not (math.isfinite(self.p) and self.p > 0.5):
-            raise ValueError("p must exceed 1/2 for square-summable coefficients")
+            raise ValueError("p must exceed 1/2 and be finite for square-summable coefficients, "
+                             f"got {float(self.p)!r}")
 
 
 @dataclass(frozen=True)

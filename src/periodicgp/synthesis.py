@@ -222,11 +222,10 @@ def sample_ensemble(c: SpectralCoefficients, K: int, n: int, R: int,
 def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     """Per-replicate circular products (1/n) sum_j x_j x_{j+d}, one column per lag.
 
-    Computed with the FFT correlation identity in replicate chunks to bound
-    memory; estimator plumbing shared by covariogram and structure-function
-    estimates.
+    Summed by their definition, two dot products per row and lag (one each side of
+    the wrap) at O(R n L) for L lags, so each row's products depend on it alone.
     """
-    v = np.atleast_2d(np.asarray(values, dtype=float))
+    v = np.ascontiguousarray(np.atleast_2d(values), dtype=float)
     R, n = v.shape
     d = np.asarray(lags, dtype=int)
     if d.ndim != 1 or d.size == 0:
@@ -234,16 +233,13 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     if np.any(d < 0) or np.any(d >= n):
         raise ValueError("lags must satisfy 0 <= d < n")
     out = np.empty((R, d.size))
-    chunks = dft.row_chunks(R, n)  # buffers for the first, largest chunk serve every chunk
-    spec, corr = np.empty((chunks[0][1], n // 2 + 1), complex), np.empty((chunks[0][1], n))
+    # plain einsum, not @ or np.dot: BLAS would order the sums by its build and threads
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi in chunks:
-            F = np.fft.rfft(v[lo:hi], axis=1, out=spec[:hi - lo])
-            # F * F.conj(), not np.multiply(F, np.conjugate(F)): from 256 KiB numpy elides the
-            # temporary and computes conj(F) F, whose rounding the pinned lag products keep
-            out[lo:hi] = np.fft.irfft(F * F.conj(), n, axis=1, out=corr[:hi - lo])[:, d] / n
+        for i, lag in enumerate(d.tolist()):
+            out[:, i] = (np.einsum("ij,ij->i", v[:, :n - lag], v[:, lag:])
+                         + np.einsum("ij,ij->i", v[:, n - lag:], v[:, :lag])) / n
     if not np.all(np.isfinite(out)):
-        raise ValueError("lag products overflow: |DFT|^2 of a path exceeds the float range")
+        raise ValueError("lag products overflow: a sum of x_j x_{j+d} exceeds the float range")
     return out
 
 
@@ -275,7 +271,7 @@ class LagEstimate:
 
 
 def empirical_covariogram(e: PathEnsemble, lags) -> LagEstimate:
-    """Estimate C(d/n) by circular averaging over the grid and the replicates."""
+    """Estimate C(d/n) by circular averaging over the grid and replicates, O(R n L) for L lags."""
     d = np.asarray(lags, dtype=int)
     value, stderr = replicate_mean(replicate_lag_products(e.values, d))
     return LagEstimate(e.n, tuple(int(x) for x in d), value, stderr)

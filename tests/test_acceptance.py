@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from periodicgp import bridge, fit, regularity, spectral, synthesis
 from periodicgp.cli import main as cli_main
@@ -223,16 +222,14 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
 # SHA-256 of every file written by criterion 9's commands, plus two short
 # truncations: a 2-harmonic coefficient file (coef) and an M = 16 bridge
 # (brg16), and two amplitudes other than 1 (sima07 with --eps, swa19).  Digests depend on numpy's seeding, samplers and FFT, fit.json's also
-# on scipy's exact KS kernel; they were pinned on PINNED_ON_NUMPY and
-# PINNED_ON_SCIPY, and a change that moves them must re-pin them and say why.
-PINNED_ON_NUMPY = "2.4.6"
-PINNED_ON_SCIPY = "1.17.1"
+# on scipy's exact KS kernel; they were pinned on conftest.PINNED_PLATFORM, and a
+# change that moves them must re-pin them and say why.
 GOLDEN_DIGESTS = {
     "brg.csv": "0a473bd2f5710fd2762a55fd37b94416fcb5f71cd34041ed3d6f88a2539113bd",
     "brg.meta.json": "3923ebf7fa33637275e997a3634be7826c72429fdb38ea7555775f3200c98771",
     "brg16.csv": "07b2b4b487cc42fccc3fcc98eea7647955d3ae3a4f14f8fed0635dfcc6d3eddc",
     "brg16.meta.json": "feb5b90c8843f82a46400b361f60922b4c90bcb4d5480ae2058c3081b460b6d6",
-    "chk.json": "c3e2cd8a46b539fb82767e187318e725d63bcb73b46589c9da2c90d0664c1cd5",
+    "chk.json": "bbe8e82a63c216c41e624796ae2424b84097c673d208beb59cbe82aa4e6efd08",
     "coef.csv": "c68ac3c55bb28e9d1685100fca5354c5d007be91723b767904bd1f77c41c3b90",
     "coef.meta.json": "7e5ed086ccaaa3850c71dbf798df360434715fe8ce4db535b31729a039a066c6",
     "cout.json": "af8d3d5d0a7ae7cf79e1f643c114537f67e5676e5ef31fbdc87802d16b053830",
@@ -252,7 +249,7 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_golden_output_digests(tmp_path, monkeypatch):
+def test_golden_output_digests(tmp_path, monkeypatch, pinned_platform):
     monkeypatch.chdir(tmp_path)  # relative paths keep tmp names out of the sidecars
     cfile, gfile = _criterion_9_inputs(Path("."))
     root = Path("out")
@@ -272,7 +269,5 @@ def test_golden_output_digests(tmp_path, monkeypatch):
         assert cli_main(list(argv)) == 0, argv
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in root.iterdir()}
-    assert digests == GOLDEN_DIGESTS, (
-        f"digests pinned on numpy {PINNED_ON_NUMPY} and scipy {PINNED_ON_SCIPY}; "
-        f"this is numpy {np.__version__} and scipy {scipy.__version__}")
+    assert digests == GOLDEN_DIGESTS, pinned_platform
     print(f"\nPASS golden digests: {len(digests)} output files match")

@@ -63,6 +63,15 @@ class TestPlainBridge:
             path = bridge.plain_bridge_path(256, rng=RngStream(seed, 0))
             assert path.values[0] == 0.0
 
+    def test_left_end_pin_outlasts_a_transform_that_rounds_it(self, monkeypatch):
+        # numpy's irfft already returns +0.0 there; 2^-60 added to every output stands in
+        # for another FFT backend, whose rounding the pin in _sine_rows clears
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 2.0 ** -60)
+        gens = [RngStream(seed, 0).generator() for seed in range(3)]
+        first = bridge._sine_rows("plain", 64, 8, gens)[:, 0]
+        assert np.all(first == 0.0) and not np.any(np.signbit(first))
+
     def test_transform_route_matches_direct_sum(self):
         # every M goes through the doubled-grid transform; check by hand
         n = 128

@@ -66,6 +66,27 @@ class TestSimulate:
         assert rc == 2
         assert "p must exceed 1/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [("simulate", "--model", "param", "--a", 1, "--p"),
+                                      ("sweep", "--p-list")], ids=["simulate", "sweep"])
+    def test_non_finite_p_is_a_usage_error(self, tmp_path, capsys, argv, value):
+        p = value if argv[0] == "simulate" else f"1,{value}"
+        assert run(*argv, p, "--n", 64, "--out", tmp_path / "x") == 2
+        assert capsys.readouterr().err.endswith(
+            "p must exceed 1/2 and be finite for square-summable coefficients, "
+            f"got {value}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_amplitude_four_writes_four_times_the_cells(self, tmp_path):
+        # c_k = a / k^p scales exactly by a power of two, and so does every path
+        for a in (1, 4):
+            assert run("simulate", "--model", "param", "--a", a, "--p", 1.3, "--n", 256,
+                       "--paths", 3, "--seed", 11, "--out", tmp_path / f"a{a}") == 0
+        t1, x1 = read_paths_csv(tmp_path / "a1.csv")
+        t4, x4 = read_paths_csv(tmp_path / "a4.csv")
+        assert t4.tobytes() == t1.tobytes()
+        assert x4.tobytes() == (4.0 * x1).tobytes()
+
     def test_explicit_overlarge_truncation_aliases(self, tmp_path, capsys):
         rc = run("simulate", "--model", "param", "--a", 1, "--p", 1.5,
                  "--n", 1024, "--trunc", 600, "--seed", 0, "--out", tmp_path / "x")
@@ -196,6 +217,23 @@ class TestTransform:
         residual = json.loads((tmp_path / "c.json.check.json").read_text())["round_trip_residual"]
         assert math.isfinite(residual) and residual < 1e-12
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("j", [-30, -3, 5, 20])
+    def test_coefficients_times_two_to_the_j_give_the_table_times_four_to_the_j(
+            self, tmp_path, j):
+        # C is quadratic in c, and a power-of-two scale rounds nothing on the way
+        rng = np.random.default_rng(j + 100)
+        for i in range(4):
+            c0, *c = np.abs(rng.standard_normal(1 + 8 * (i + 1)))
+            tables = []
+            for s in (0, j):
+                cfile, gfile = tmp_path / f"c{i}_{s}.json", tmp_path / f"g{i}_{s}.csv"
+                write_coefficients(SpectralCoefficients(math.ldexp(c0, s),
+                                                        tuple(np.ldexp(c, s))), cfile)
+                assert run("transform", "--direction", "c2g", "--in", cfile,
+                           "--grid", 128, "--out", gfile) == 0
+                tables.append(spectral.read_covariogram_csv(gfile).values)
+            assert tables[1].tobytes() == np.ldexp(tables[0], 2 * j).tobytes()
 
     @pytest.mark.parametrize("tail", [{"q": 2}, 3])
     def test_malformed_tail_is_a_usage_error(self, tmp_path, capsys, tail):

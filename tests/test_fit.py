@@ -296,7 +296,7 @@ class TestSymmetries:
 
 # sha256 over a_hat, p_hat, neg_log_likelihood, iterations and the GoodnessReport floats of
 # 40 paths at n = 1024, K = 256, cycling through the fits benchmark's models (p = 0.75, 1.5,
-# 3, 7 and the plain bridge); pinned on numpy 2.4.6 and scipy 1.17.1
+# 3, 7 and the plain bridge); pinned on conftest.PINNED_PLATFORM
 LIBRARY_FIT_DIGEST = "e7986d28fe3d163ec40bf841617b3ad9ade2c95ddb84ad674319292ce9c6cdb2"
 
 
@@ -313,7 +313,7 @@ class TestSharedAnalysis:
         return synthesis.sample_path(model_coefficients(ParametricModel(1.0, p), 511),
                                      511, 1024, rng)
 
-    def test_library_fit_path_digest(self):
+    def test_library_fit_path_digest(self, pinned_platform):
         h = hashlib.sha256()
         for i in range(40):
             path = self._path(i)
@@ -322,7 +322,7 @@ class TestSharedAnalysis:
             h.update(np.float64([res.a_hat, res.p_hat, res.neg_log_likelihood,
                                  res.convergence.iterations, rep.residual_mean, rep.dispersion,
                                  rep.ks_statistic, rep.ks_pvalue, rep.threshold]).tobytes())
-        assert h.hexdigest() == LIBRARY_FIT_DIGEST
+        assert h.hexdigest() == LIBRARY_FIT_DIGEST, pinned_platform
 
     def test_fit_and_check_analyze_a_path_once(self, monkeypatch):
         calls = []

@@ -191,6 +191,23 @@ class TestEstimateHolder:
         assert e.values.flags.c_contiguous
         assert estimate_holder(e) == estimate_holder(PathEnsemble(256, x))
 
+    @pytest.mark.parametrize("p", [0.75, 1.0, 1.6, 2.1, 3.1])
+    def test_raw_slope_under_the_law_symmetries(self, p):
+        # the law is invariant under a circular shift and j -> -j, and the slope of
+        # log S does not see the replicate order or a power-of-two scale.  Worst cases
+        # over seeds 0-2 and these p: shift 9.1e-13, reflection 8.4e-13, order 2.2e-16,
+        # x 2^-30 7.8e-15, each asserted with a margin of 30 or more
+        m = fit.model_coefficients(ParametricModel(1.0, p), 511)
+        for seed in range(3):
+            x = synthesis.sample_ensemble(m, 511, 1024, 40, seed).values
+            base = estimate_holder(PathEnsemble(1024, x)).raw_slope
+            for y, rel in ((np.roll(x, 1 + 97 * seed, axis=1), 3e-11),
+                           (np.roll(x[:, ::-1], 1, axis=1), 3e-11),
+                           (x[::-1], 1e-14),
+                           (np.ldexp(x, -30), 2.5e-13)):
+                got = estimate_holder(PathEnsemble(1024, y)).raw_slope
+                assert got == pytest.approx(base, rel=rel)
+
     def test_window_needs_four_lags(self):
         e = PathEnsemble(16, np.random.default_rng(0).standard_normal((2, 16)))
         with pytest.raises(ValueError):
