@@ -19,7 +19,7 @@ from .core import (
     h_norm,
     validate_coefficients,
 )
-from .dft import HarmonicDecomposition, analyze, synthesize
+from .dft import HarmonicDecomposition, analyze
 from .synthesis import (
     RngStream,
     empirical_covariogram,
@@ -81,7 +81,6 @@ __all__ = [
     "sample_ensemble",
     "sample_path",
     "structure_function",
-    "synthesize",
     "truncation_index",
     "validate_coefficients",
 ]

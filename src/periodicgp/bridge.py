@@ -64,9 +64,10 @@ def centralized_bridge_covariogram(n: int) -> Covariogram:
     return _bridge_covariogram(n, -1.0 / 24.0)
 
 
-def centered_bridge_coefficients(support: int = DEFAULT_COEFF_SUPPORT) -> SpectralCoefficients:
-    """c0 = 1/sqrt(12), c_k = 1/(2 pi k), with the exact k^-2 tail declared."""
-    k = np.arange(1, support + 1, dtype=float)
+def centered_bridge_coefficients() -> SpectralCoefficients:
+    """c0 = 1/sqrt(12), c_k = 1/(2 pi k) stored to DEFAULT_COEFF_SUPPORT, with the exact
+    k^-2 tail declared beyond; materialize(K) gives any longer prefix."""
+    k = np.arange(1, DEFAULT_COEFF_SUPPORT + 1, dtype=float)
     return SpectralCoefficients(
         c0=1.0 / math.sqrt(12.0),
         c=1.0 / (2.0 * math.pi * k),
@@ -187,12 +188,12 @@ class DecompositionReport:
 
 
 def decomposition_check(R: int, n: int, M: int | None = None,
-                        master_seed: int = 0, band: float = 3.0) -> DecompositionReport:
+                        master_seed: int = 0) -> DecompositionReport:
     """Split centered-shift paths into grid mean Z and residual, verify the law.
 
     Checks Var(Z) = 1/12, the residual covariogram against the centralized
     closed form at 8 lags, and the Z-residual correlation at 8 gridpoints,
-    all within `band` standard errors.
+    all within 3 standard errors.
     """
     if R < 2:
         raise ValueError("decomposition check needs R >= 2 replicates for a variance")
@@ -220,6 +221,7 @@ def decomposition_check(R: int, n: int, M: int | None = None,
     corr = (zc @ rc) / denom
     corr_se = 1.0 / math.sqrt(R)  # null standard error of a sample correlation
 
+    band = 3.0  # standard errors
     var_ok = abs(var_z - 1.0 / 12.0) <= band * var_z_se
     cov_ok = bool(np.all(np.abs(cov - target) <= band * cov_se))
     corr_ok = bool(np.all(np.abs(corr) <= band * corr_se))

@@ -3,7 +3,8 @@
 Every command is deterministic given its flags; randomness flows from the
 single --seed flag and nothing else.  When --seed is omitted an entropy
 seed is drawn once and printed so the run can be reproduced.  Exit codes:
-0 ok, 2 usage, 3 aliasing, 4 invalid spectrum, 5 degenerate data.
+0 ok, 2 usage (or a request too large to allocate), 3 aliasing, 4 invalid
+spectrum, 5 degenerate data.
 """
 
 from __future__ import annotations
@@ -213,11 +214,15 @@ def cmd_sweep(args) -> None:
         raise ValueError("--p-list is empty")
     n = args.n
     models = [fit.model_coefficients(ParametricModel(args.a, p), 1) for p in p_list]
+    names = [f"x_p{p:g}" for p in p_list]  # sorted, so names that collide are neighbours
+    for p, q, name, next_name in zip(p_list, p_list[1:], names, names[1:]):
+        if name == next_name:
+            raise ValueError(f"--p-list values {p!r} and {q!r} share the column name {name}")
     K = max(_auto_truncation(c, n, args.eps, args.trunc) for c in models)
     # one shared draw block: every column sees the same (Y, Y') event
     columns = [synthesis.sample_path(c, K, n, synthesis.RngStream(seed, 0)).values
                for c in models]
-    write_table_csv("t," + ",".join(f"x_p{p:g}" for p in p_list),
+    write_table_csv("t," + ",".join(names),
                     [np.arange(n) / n, *columns], f"{args.out}.csv")
     write_json({
         "command": "sweep",
@@ -316,7 +321,7 @@ def main(argv=None) -> int:
     try:
         # looked up per call, not held by the cached parser, so a rebound cmd_* is reached
         globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         codes = {AliasingError: 3, SpectrumError: 4, DegenerateDataError: 5}
         return next((code for cls, code in codes.items() if isinstance(exc, cls)), 2)

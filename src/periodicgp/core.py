@@ -44,14 +44,10 @@ class DegenerateDataError(ValueError):
     """Observed data carries no usable signal for the requested operation."""
 
 
-def is_power_of_two(n) -> bool:
-    return isinstance(n, (int, np.integer)) and n >= 1 and (int(n) & (int(n) - 1)) == 0
-
-
 def check_grid(n) -> None:
     """The grid rule, n a power of two >= 4: harmonics 1..n/2 - 1 then sit on their
     own DFT bins below Nyquist.  Call it before sizing any work from n."""
-    if not (is_power_of_two(n) and n >= 4):
+    if not (isinstance(n, (int, np.integer)) and n >= 4 and (int(n) & (int(n) - 1)) == 0):
         raise ValueError(f"grid size must be a power of two, n >= 4, got {n}")
 
 
@@ -232,10 +228,6 @@ class GridPath(_Adopts):
             raise ValueError("path values must be finite")
         object.__setattr__(self, "values", _readonly(v, copy))
 
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(self.n) / self.n
-
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble(_Adopts):
@@ -256,9 +248,6 @@ class PathEnsemble(_Adopts):
     @property
     def R(self) -> int:
         return int(self.values.shape[0])
-
-    def path(self, r: int) -> GridPath:
-        return GridPath(self.n, self.values[r])
 
 
 @dataclass(frozen=True)
@@ -469,7 +458,7 @@ def _rows_of_width(lines, commas: int, first: int):
 
 
 def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
-    """Rows of a CSV table whose first column is the grid j/n, n a power of two; with a
+    """Rows of a CSV table whose first column is the grid j/n, n as check_grid asks; with a
     column, only the grid and that value column.  Every row has the header's field count;
     only lines empty once the '#' comment is cut are skipped, as np.loadtxt skips them."""
     with open(path) as fh:
@@ -492,8 +481,10 @@ def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
         except ValueError as exc:  # loadtxt's "row R" counts data rows only
             raise ValueError(f"{path}: {exc} (the first data row is line {number})") from exc
     n = data.shape[0]
-    if not is_power_of_two(n):
-        raise ValueError(f"{path}: grid size {n} is not a power of two")
+    try:
+        check_grid(n)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not np.max(np.abs(data[:, 0] - np.arange(n) / n)) <= 1e-12:  # a NaN fails too
         raise ValueError(f"{path}: first column is not the uniform grid j/n")
     return data

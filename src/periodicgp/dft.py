@@ -1,4 +1,4 @@
-"""Real-input harmonic analysis and synthesis on power-of-two grids.
+"""Real-input harmonic analysis on power-of-two grids, and the half spectrum inverting it.
 
 For samples x_j at t = j/n the decomposition conventions are
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AliasingError, GridPath, check_grid
+from .core import AliasingError, GridPath
 
 # grid values per batched transform: enough rows to amortize per-call
 # overhead, few enough that a chunk's temporaries stay at a few MB
@@ -75,17 +75,6 @@ def spectrum(n: int, mean, sin_coef, cos_coef, nyquist=0.0) -> np.ndarray:
     F[..., 1:K + 1] = n * (cos_coef - 1j * sin_c) / 2.0
     F[..., n // 2] = n * np.asarray(nyquist, dtype=float)
     return F
-
-
-def synthesize(h: HarmonicDecomposition) -> GridPath:
-    """Inverse of analyze: rebuild the path from its harmonics."""
-    n = h.n
-    check_grid(n)
-    sin_c = np.asarray(h.sin_coef, dtype=float)
-    cos_c = np.asarray(h.cos_coef, dtype=float)
-    if sin_c.shape != (n // 2 - 1,) or cos_c.shape != (n // 2 - 1,):
-        raise ValueError("harmonic arrays must have length n/2 - 1")
-    return GridPath(n, np.fft.irfft(spectrum(n, h.mean, sin_c, cos_c, h.nyquist), n))
 
 
 def check_harmonics(K: int, n: int) -> None:

@@ -8,7 +8,6 @@ directions are single real FFTs.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -98,13 +97,6 @@ class CoefficientEstimate:
     c0_sq_stderr: float
     c_sq: np.ndarray  # k = 1..K
     c_sq_stderr: np.ndarray
-
-    def coefficients(self) -> SpectralCoefficients:
-        """Point estimates as a coefficient object (negative noise clamped)."""
-        return SpectralCoefficients(
-            math.sqrt(max(self.c0_sq, 0.0)),
-            np.sqrt(np.clip(self.c_sq, 0.0, None)),
-        )
 
 
 def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:

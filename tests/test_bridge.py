@@ -169,9 +169,23 @@ class TestDecomposition:
         i = rep.lags.index(64)
         assert rep.residual_cov_target[i] == pytest.approx(-1 / 96)
 
-    def test_band_parameter_respected(self):
-        strict = bridge.decomposition_check(2000, 128, master_seed=1, band=1e-9)
-        assert not strict.passed
+    def test_residual_covariogram_refuses_a_few_mode_series(self):
+        # 4 sine modes leave the residual covariogram far from the Brownian closed form
+        # (max |z| 14.3 at seed 0) while Var(Z) (|z| 1.0) and the correlation (1.6) hold
+        rep = bridge.decomposition_check(4000, 64, M=4, master_seed=0)
+        assert (rep.var_ok, rep.cov_ok, rep.corr_ok) == (True, False, True)
+        z = np.abs(rep.residual_cov - rep.residual_cov_target) / rep.residual_cov_stderr
+        assert np.max(z) > 10
+
+    def test_correlation_refuses_an_unrotated_bridge(self, monkeypatch):
+        # the plain bridge is pinned at t = 0, so the residual there is -Z (max |z| 63.2);
+        # Var(Z) (|z| 0.4) and the circular residual covariogram (0.3) do not see a rotation
+        ensemble = bridge.bridge_ensemble
+        monkeypatch.setattr(bridge, "bridge_ensemble",
+                            lambda variant, *args, **kwargs: ensemble("plain", *args, **kwargs))
+        rep = bridge.decomposition_check(4000, 64, master_seed=0)
+        assert (rep.var_ok, rep.cov_ok, rep.corr_ok) == (True, True, False)
+        assert np.max(np.abs(rep.correlation)) / rep.correlation_stderr > 10
 
     @pytest.mark.parametrize("scale, var_ok", [(1.0, True), (1.025, False), (1.05, False)])
     def test_var_z_band_refuses_a_scaled_law(self, monkeypatch, scale, var_ok):

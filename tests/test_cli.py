@@ -490,10 +490,40 @@ class TestBadInput:
         # every T_k is nonzero but below the floor: too small to fit, not degenerate
         "fit-path-too-small": (("fit", "--in", "{tiny}"), "rescale the path"),
         "fit-grid-not-power-of-two": (("fit", "--in", "{three}"),
-                                      "{three}: grid size 3 is not a power of two"),
-        "transform-g2c-grid-not-power-of-two": (("transform", "--direction", "g2c",
-                                                 "--in", "{three_cov}"),
-                                                "{three_cov}: grid size 3 is not a power of two"),
+                                      "{three}: grid size must be a power of two, n >= 4, got 3"),
+        "transform-g2c-grid-not-power-of-two": (
+            ("transform", "--direction", "g2c", "--in", "{three_cov}"),
+            "{three_cov}: grid size must be a power of two, n >= 4, got 3"),
+        # a power of two below 4 breaks the same grid rule, and the refusal names the file
+        "fit-grid-of-one": (("fit", "--in", "{one}"),
+                            "{one}: grid size must be a power of two, n >= 4, got 1"),
+        "fit-grid-of-two": (("fit", "--in", "{two}"),
+                            "{two}: grid size must be a power of two, n >= 4, got 2"),
+        "regularity-grid-of-one": (("regularity", "--in", "{one}"),
+                                   "{one}: grid size must be a power of two, n >= 4, got 1"),
+        "regularity-grid-of-two": (("regularity", "--in", "{two}"),
+                                   "{two}: grid size must be a power of two, n >= 4, got 2"),
+        # %g keeps 6 digits, so these p would head two columns with one name
+        "sweep-column-names-collide": (("sweep", "--p-list", "1.0000001,1.0000002", "--n", 16,
+                                        "--seed", 1),
+                                       "error: --p-list values 1.0000001 and 1.0000002 share "
+                                       "the column name x_p1"),
+        "sweep-column-names-collide-unsorted": (("sweep", "--p-list", "2.5,3.0000004,3",
+                                                 "--n", 16, "--seed", 1),
+                                                "error: --p-list values 3.0 and 3.0000004 "
+                                                "share the column name x_p3"),
+        # each request exceeds a 2^57-byte address space, so it fails before any page is
+        # touched; numpy's one-line message follows "error:"
+        "simulate-paths-too-many-to-allocate": (("simulate", "--model", "param", "--a", 1,
+                                                 "--p", 1.5, "--n", 1024, "--paths", 2 ** 47,
+                                                 "--seed", 0),
+                                                "error: Unable to allocate"),
+        "bridge-check-terms-too-many-to-allocate": (("bridge-check", "--R", 2, "--n", 16,
+                                                     "--terms", 2 ** 57),
+                                                    "error: Unable to allocate"),
+        "transform-c2g-grid-too-large-to-allocate": (("transform", "--direction", "c2g",
+                                                      "--in", "{valid}", "--grid", 2 ** 57),
+                                                     "error: Unable to allocate"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -513,11 +543,14 @@ class TestBadInput:
         three, three_cov = tmp_path / "three.csv", tmp_path / "three_cov.csv"
         three.write_text("t,x\n0,1\n0.25,2\n0.5,3\n")
         three_cov.write_text("delta,value\n0,1\n0.25,0.5\n0.5,0.25\n")
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        one.write_text("t,x\n0,1\n")
+        two.write_text("t,x0,x1\n0,1,2\n0.5,3,4\n")
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
         files = dict(coeffs=coeffs, valid=valid, path=path, huge=huge, tiny=tiny, cov=cov,
-                     three=three, three_cov=three_cov)
+                     three=three, three_cov=three_cov, one=one, two=two)
         argv = [str(a).format(**files) for a in argv]
         message = message.format(**files)
         assert run(*argv, "--out", out / "x") == 2

@@ -221,10 +221,6 @@ class TestGridPath:
         with pytest.raises(ValueError):
             GridPath(6, np.zeros(6))
 
-    def test_time_grid(self):
-        p = GridPath(8, np.arange(8.0))
-        assert np.array_equal(p.t, np.arange(8) / 8)
-
     def test_values_read_only(self):
         p = GridPath(8, np.zeros(8))
         with pytest.raises(ValueError):
@@ -251,12 +247,6 @@ class TestPathEnsemble:
     def test_path_accessor(self):
         e = PathEnsemble(8, np.arange(16.0).reshape(2, 8))
         assert e.R == 2
-        assert np.array_equal(e.path(1).values, np.arange(8.0, 16.0))
-
-
-def _zero_harmonics(n):
-    half = np.zeros(max(n // 2 - 1, 0))
-    return dft.HarmonicDecomposition(n, 0.0, half, half, 0.0)
 
 
 # every public entry that takes a grid size n, each called with valid other arguments
@@ -273,7 +263,6 @@ GRID_ENTRIES = {
        for v in bridge.VARIANTS},
     "coeffs_to_covariogram":
         lambda n: spectral.coeffs_to_covariogram(SpectralCoefficients(1.0, ()), n),
-    "synthesize": lambda n: dft.synthesize(_zero_harmonics(n)),
 }
 
 
@@ -304,9 +293,6 @@ LIBRARY_REFUSALS = {
                                     "derivative count must be nonnegative"),
     "RegularityReport-zero-bound": (lambda: RegularityReport(3.0, 0, 0.0), ValueError,
                                     "holder_bound must lie in (0, 1]"),
-    "synthesize-mismatched": (lambda: dft.synthesize(dft.HarmonicDecomposition(
-        8, 0.0, np.zeros(3), np.zeros(2), 0.0)), ValueError,
-        "harmonic arrays must have length n/2 - 1"),
     "model_coefficients-K0": (lambda: fit.model_coefficients(ParametricModel(1.0, 1.5), 0),
                               ValueError, "need at least one harmonic"),
     "proof_identity-k0": (lambda: bridge.proof_identity(0, 10), ValueError,
@@ -502,10 +488,10 @@ class TestFileFormats:
 
     def test_blank_and_comment_lines_before_data_are_skipped(self, tmp_path):
         f = tmp_path / "p.csv"
-        f.write_text("t,x\n\n# note\n0,1.5\n0.5,-2\n")
+        f.write_text("t,x\n\n# note\n0,1.5\n0.25,-2\n0.5,3\n0.75,-4\n")
         t, values = read_paths_csv(f)
-        assert np.array_equal(t, [0.0, 0.5])
-        assert np.array_equal(values, [[1.5, -2.0]])
+        assert np.array_equal(t, [0.0, 0.25, 0.5, 0.75])
+        assert np.array_equal(values, [[1.5, -2.0, 3.0, -4.0]])
 
     def test_one_column_read_matches_the_full_read(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -519,13 +505,14 @@ class TestFileFormats:
     def test_reads_a_path_csv_from_a_pipe(self, tmp_path):
         fifo = tmp_path / "p.csv"
         os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_text, args=("t,x\n0,1.5\n0.5,-2\n",),
+        writer = threading.Thread(target=fifo.write_text,
+                                  args=("t,x\n0,1.5\n0.25,-2\n0.5,3\n0.75,-4\n",),
                                   daemon=True)  # never blocks the test run on a failed read
         writer.start()
         t, values = read_paths_csv(fifo)
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert np.array_equal(values, [[1.5, -2.0]])
+        assert np.array_equal(values, [[1.5, -2.0, 3.0, -4.0]])
 
     def test_json_output_is_canonical(self, tmp_path):
         f = tmp_path / "m.json"

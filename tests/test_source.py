@@ -1,8 +1,9 @@
-"""Static checks of src/periodicgp with ast alone: no dead import, private name or export.
+"""Static checks of src/periodicgp with ast alone: no dead import, private name, export or
+public method.
 
 A deletion can leave behind an import nothing uses, a module-level _private helper
-nothing calls, or an __all__ entry naming what is gone; no linter runs in Tier-1, so
-these checks do.
+nothing calls, an __all__ entry naming what is gone, or an accessor nothing reads; no
+linter runs in Tier-1, so these checks do.
 """
 
 import ast
@@ -79,3 +80,15 @@ def test_all_resolves_and_is_unique():
     exported = periodicgp.__all__
     assert len(set(exported)) == len(exported)
     assert [name for name in exported if not hasattr(periodicgp, name)] == []
+
+
+def test_every_public_method_is_read():
+    # a method or property of a public class that src never reads as an attribute
+    # has no caller in the package, the CLI included
+    read = {node.attr for tree in MODULES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = [f"{cls.name}.{fn.name}" for tree in MODULES.values() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and not fn.name.startswith("_") and fn.name not in read]
+    assert unread == []

@@ -169,7 +169,8 @@ class TestCoeffsToCovariogram:
         assert g.at(0.5) == pytest.approx(-2.0)
 
     def test_bridge_coefficients_reach_closed_form(self):
-        c = bridge.centered_bridge_coefficients(support=2048)
+        b = bridge.centered_bridge_coefficients()
+        c = SpectralCoefficients(b.c0, b.materialize(2048))
         g = coeffs_to_covariogram(c, 8192)
         assert g.at(0.25) == pytest.approx(7 / 96, abs=1e-6)
 
@@ -245,13 +246,6 @@ class TestEmpiricalCoeffs:
         target = np.array([1.0 / k**2 for k in range(1, 9)])
         z = (est.c_sq - target) / est.c_sq_stderr
         assert np.max(np.abs(z)) < 3
-
-    def test_coefficients_accessor_takes_square_roots(self):
-        t = _grid(32)
-        e = PathEnsemble(32, (2.0 + 0 * t)[None, :])
-        est = empirical_coeffs(e, 2)
-        got = est.coefficients()
-        assert got.c0 == pytest.approx(2.0)
 
 
 class TestCovariogramCsv:
