@@ -325,6 +325,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         codes = {AliasingError: 3, SpectrumError: 4, DegenerateDataError: 5}
         return next((code for cls, code in codes.items() if isinstance(exc, cls)), 2)
+    except KeyboardInterrupt:  # Ctrl-C: the shell's 128 + SIGINT, with no traceback
+        print("interrupted", file=sys.stderr)
+        return 130
     finally:
         _release_free_memory(0)
     return 0

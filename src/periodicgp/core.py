@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -386,13 +387,15 @@ def _format_cells(block, ncols: int) -> bytes:
 
 
 def write_table_csv(header: str, columns, path) -> None:
-    """Write equal-length columns under a header line, one CELL_FORMAT cell each."""
-    step = max(1, BLOCK_VALUES // len(columns))
+    """Write equal-length columns under a header line, one CELL_FORMAT cell each; an (R, n)
+    array in `columns` is R columns, its rows, and each block copies one transposed slice."""
+    width = sum(len(c) if c.ndim == 2 else 1 for c in columns)
+    step = max(1, BLOCK_VALUES // width)
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for lo in range(0, len(columns[0]), step):
-            fh.write(_format_cells(np.column_stack([c[lo:lo + step] for c in columns]),
-                                   len(columns)))
+        for lo in range(0, columns[0].shape[-1], step):
+            fh.write(_format_cells(np.column_stack([c[..., lo:lo + step].T for c in columns]),
+                                   width))
 
 
 def _numpy_to_json(obj):  # json.dumps' default=; np.float64 is a float already
@@ -441,20 +444,20 @@ def write_paths_csv(values: np.ndarray, path) -> None:
     v = np.atleast_2d(np.asarray(values, dtype=float))
     R, n = v.shape
     header = "t,x" if R == 1 else "t," + ",".join(f"x{r}" for r in range(R))
-    write_table_csv(header, [np.arange(n) / n, *v], path)
+    write_table_csv(header, [np.arange(n) / n, v], path)
 
 
 def _cells(line: str) -> str:  # np.loadtxt skips a line if this is empty
     return line.partition("#")[0].rstrip("\r\n")
 
 
-def _rows_of_width(lines, commas: int, first: int):
-    """The lines, each checked to have commas + 1 fields unless loadtxt skips it."""
+def _rows_of_width(lines, commas: int, first: int, cut):
+    """The lines, each checked to have commas + 1 fields unless loadtxt skips it, then cut."""
     for number, line in enumerate(lines, first):
         cells = _cells(line)
         if (found := cells.count(",")) != commas and cells:
             raise ValueError(f"line {number} has {found + 1} fields, the header {commas + 1}")
-        yield line
+        yield cut(cells).group() if cut and cells else line
 
 
 def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
@@ -473,8 +476,12 @@ def read_grid_csv(path, header_ok, expected: str, column=None) -> np.ndarray:
             line, number = fh.readline(), number + 1
         if not line:
             raise ValueError(f"{path}: no data rows after the header")
+        # hand loadtxt a row's fields up to the column alone where that pays: a cut costs ~0.6 us
+        # a row and ~0.1 us a kept field, and saves ~0.05 us a dropped one (drop >= 2 kept + 16)
+        cut = (re.compile("(?:[^,]*,){%d}[^,]*" % (column + 1)).match
+               if column is not None and commas >= 3 * column + 21 else None)
         # chain, not seek: the input may be a pipe
-        rows = _rows_of_width(itertools.chain([line], fh), commas, number)
+        rows = _rows_of_width(itertools.chain([line], fh), commas, number, cut)
         try:
             data = np.loadtxt(rows, delimiter=",", ndmin=2,
                               usecols=None if column is None else (0, column + 1))

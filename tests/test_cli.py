@@ -364,6 +364,61 @@ class TestFitReadsOneColumn:
         assert f"{tmp_path / 'wide.csv'}: column" in err
 
 
+class TestFitReadsOneColumnOfAWideTable:
+    """On a 100-path table, fit hands loadtxt only the leading fields of each row where that
+    pays; its outputs and messages stay those of a whole-row read."""
+
+    _fit = staticmethod(TestFitReadsOneColumn._fit)
+
+    @staticmethod
+    def _wide(tmp_path):
+        """Rows of a 100-path CSV with a comment line and a blank line before the data."""
+        f = tmp_path / "sim.csv"
+        write_paths_csv(np.random.default_rng(6).standard_normal((100, 64)), f)
+        lines = f.read_text().splitlines(keepends=True)
+        lines[1:1] = ["# one hundred paths\n", "\n"]
+        return lines
+
+    @staticmethod
+    def _set(lines, line, field, text):
+        """The rows with field `field` of file line `line` replaced by `text`."""
+        cells = lines[line - 1].rstrip("\n").split(",")
+        cells[field] = text
+        return [*lines[:line - 1], ",".join(cells) + "\n", *lines[line:]]
+
+    @pytest.mark.parametrize("column", [0, 3, 49, 98])
+    def test_non_numeric_cells_beside_the_fitted_column_do_not_stop_it(self, tmp_path,
+                                                                        column):
+        lines = self._wide(tmp_path)
+        code, clean = self._fit(tmp_path, "clean", lines, column)
+        for other in {max(column - 1, 0), column + 1, 99} - {column}:
+            lines = self._set(lines, 41, other + 1, "abc")
+        assert code == 0 and self._fit(tmp_path, "dirty", lines, column) == (0, clean)
+
+    @pytest.mark.parametrize("column", [0, 99])
+    def test_a_note_straight_after_the_last_cell_is_cut(self, tmp_path, column):
+        lines = self._wide(tmp_path)
+        code, clean = self._fit(tmp_path, "clean", lines, column)
+        lines[40] = lines[40].rstrip("\n") + "# note, with a comma\n"
+        assert code == 0 and self._fit(tmp_path, "noted", lines, column) == (0, clean)
+
+    @pytest.mark.parametrize("column", [0, 49])
+    def test_a_short_row_exits_two_naming_its_line(self, tmp_path, capsys, column):
+        lines = self._wide(tmp_path)
+        lines[40] = ",".join(lines[40].split(",")[:30]) + "\n"
+        assert self._fit(tmp_path, "short", lines, column) == (2, [None, None])
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'short.csv'}: line 41 has 30 fields, the header 101" in err
+
+    @pytest.mark.parametrize("column", [0, 3, 26, 49, 99])
+    def test_a_bad_fitted_cell_keeps_loadtxts_row_and_column(self, tmp_path, capsys, column):
+        lines = self._set(self._wide(tmp_path), 41, column + 1, "abc")
+        assert self._fit(tmp_path, "bad", lines, column) == (2, [None, None])
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'bad.csv'}: could not convert string 'abc' to float64 at "
+            f"row 37, column {column + 2}. (the first data row is line 4)\n")
+
+
 class TestRegularityCommand:
     def test_bridge_coefficients_report(self, tmp_path):
         out = tmp_path / "reg.json"
@@ -1035,6 +1090,39 @@ def test_main_releases_free_memory_after_every_command(tmp_path, monkeypatch):
     assert run("regularity", "--coeffs", "bridge", "--out", tmp_path / "ok.json") == 0
     assert run("fit", "--in", tmp_path / "missing.csv", "--out", tmp_path / "fit") == 2
     assert released == [0, 0]
+
+
+def test_ctrl_c_mid_simulate_exits_130_with_one_line(tmp_path, monkeypatch, capsys):
+    import periodicgp.core as core
+    blocks = []
+    format_cells = core._format_cells
+
+    def interrupted_after_one_block(block, ncols):
+        if blocks:
+            raise KeyboardInterrupt
+        blocks.append(ncols)
+        return format_cells(block, ncols)
+
+    monkeypatch.setattr(core, "_format_cells", interrupted_after_one_block)
+    assert run("simulate", "--model", "param", "--a", 1, "--p", 1.5, "--n", 1024,
+               "--paths", 8, "--seed", 0, "--out", tmp_path / "sim") == 130
+    assert blocks == [9]  # the second of several blocks raised
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "transform", "fit", "regularity",
+                                     "bridge-check", "sweep"])
+def test_ctrl_c_in_any_command_exits_130_with_one_line(command, tmp_path, monkeypatch, capsys):
+    import periodicgp.cli as cli
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), interrupt)
+    argv = {"simulate": ["--model", "param"], "transform": ["--direction", "c2g", "--in", "x"],
+            "fit": ["--in", "x"], "sweep": ["--p-list", "1.5"]}.get(command, [])
+    assert run(command, *argv, "--out", tmp_path / "x") == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
 
 
 @pytest.mark.parametrize("model", ["bridge:nope", "nope"])

@@ -483,8 +483,11 @@ class TestFileFormats:
         core.write_table_csv("a,b,c,d", columns, expected)
         monkeypatch.setattr(core, "BLOCK_VALUES", block)
         f = tmp_path / "blocked.csv"
-        core.write_table_csv("a,b,c,d", columns, f)
-        assert f.read_bytes() == expected.read_bytes()
+        # rows of a 2-D entry are columns: all three values at once, or one and then two
+        for table in (columns, [columns[0], np.array(columns[1:])],
+                      [columns[0], np.array(columns[1:2]), np.array(columns[2:])]):
+            core.write_table_csv("a,b,c,d", table, f)
+            assert f.read_bytes() == expected.read_bytes()
 
     def test_blank_and_comment_lines_before_data_are_skipped(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -500,6 +503,18 @@ class TestFileFormats:
         for c in range(3):
             tc, vc = read_paths_csv(f, c)
             assert np.array_equal(tc, t) and np.array_equal(vc, values[c:c + 1])
+
+    @pytest.mark.parametrize("column", [0, 1, 26, 27, 49, 98, 99])
+    def test_one_column_of_a_wide_table_matches_the_full_read(self, tmp_path, column):
+        # columns near the left are read from each row's leading fields alone
+        f = tmp_path / "p.csv"
+        write_paths_csv(np.random.default_rng(4).standard_normal((100, 64)) * 1e3, f)
+        lines = f.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].rstrip("\n") + "# note, with a comma\n"
+        f.write_text("".join(lines[:3] + ["# comment\n", "\n"] + lines[3:]))
+        t, values = read_paths_csv(f)
+        tc, vc = read_paths_csv(f, column)
+        assert tc.tobytes() == t.tobytes() and vc.tobytes() == values[column:column + 1].tobytes()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX named pipes")
     def test_reads_a_path_csv_from_a_pipe(self, tmp_path):
