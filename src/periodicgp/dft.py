@@ -10,8 +10,6 @@ For samples x_j at t = j/n the decomposition conventions are
 exact for trigonometric polynomials of degree below n/2, with Parseval
 
     (1/n) sum x_j^2 = mean^2 + (1/2) sum_k (sin_k^2 + cos_k^2) + nyquist^2.
-
-Batched transforms run over stacked rows, ROW_BUDGET grid values at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AliasingError, GridPath
-
-# grid values per batched transform: enough rows to amortize per-call
-# overhead, few enough that a chunk's temporaries stay at a few MB
-ROW_BUDGET = 2 ** 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +47,6 @@ def analyze(path: GridPath) -> HarmonicDecomposition:
         cos_coef=cos_coef,
         nyquist=float(F[n // 2].real) / n,
     )
-
-
-def row_chunks(R: int, n: int) -> list:
-    """(lo, hi) replicate ranges whose rows of length n fit ROW_BUDGET together."""
-    step = max(1, ROW_BUDGET // n)
-    return [(lo, min(lo + step, R)) for lo in range(0, R, step)]
 
 
 def spectrum(n: int, mean, sin_coef, cos_coef, nyquist=0.0) -> np.ndarray:

@@ -81,7 +81,8 @@ def _observe(path: GridPath, K: int):
     if not np.all(np.isfinite(T)):
         raise ValueError("harmonic energy sin_k^2 + cos_k^2 overflows the float range")
     if not np.any(T > _ENERGY_FLOOR):
-        if np.any(T):  # a constant path has none; a tiny one has some, all below the floor
+        # a constant path has no harmonic; a tiny one's energies lie below the floor or at 0
+        if np.any(h.sin_coef[:K]) or np.any(h.cos_coef[:K]):
             raise ValueError(f"every harmonic energy is below {_ENERGY_FLOOR:g}; rescale the path")
         raise DegenerateDataError("degenerate observation: no harmonic energy")
     return h, T

@@ -80,6 +80,9 @@ def structure_function(e: PathEnsemble, lags) -> LagEstimate:
     if np.any(d < 1) or np.any(d > e.n // 2):
         raise ValueError("lags must satisfy 1 <= d <= n/2")
     per = replicate_lag_products(e.values, np.concatenate(([0], d)))
+    tiny = np.finfo(float).tiny  # below it lag products are subnormal or 0
+    if np.all(per[:, 0] < tiny) and e.values.any():
+        raise ValueError(f"every path's mean square is below {tiny:.3g}; rescale the ensemble")
     value, stderr = replicate_mean(2.0 * (per[:, :1] - per[:, 1:]))
     return LagEstimate(e.n, tuple(int(x) for x in d), value, stderr)
 

@@ -109,22 +109,18 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
     std / sqrt(R).
     """
     dft.check_harmonics(K, e.n)
-    R, n = e.R, e.n
-    mean_stat = np.empty(R)
-    c_stat = np.empty((R, K))
+    n = e.n
     with np.errstate(over="ignore"):
-        for lo, hi in dft.row_chunks(R, n):
-            F = np.fft.rfft(e.values[lo:hi], axis=1)
-            mean_stat[lo:hi] = (F[:, 0].real / n) ** 2
-            if K:
-                sin_c, cos_c = dft.harmonics(F[:, 1:K + 1], n)
-                c_stat[lo:hi] = (sin_c ** 2 + cos_c ** 2) / 4.0
-    if not all(np.isfinite(x).all() for x in (mean_stat, c_stat)):
+        F = np.fft.rfft(e.values, axis=1)
+        mean_stat = (F[:, 0].real / n) ** 2
+        sin_c, cos_c = dft.harmonics(F[:, 1:K + 1], n)
+        c_stat = (sin_c ** 2 + cos_c ** 2) / 4.0
+    if not (np.isfinite(mean_stat).all() and np.isfinite(c_stat).all()):
         raise ValueError("harmonic energies overflow: a squared DFT term exceeds the float range")
     c0_sq, c0_se = replicate_mean(mean_stat)
     c_sq, c_se = replicate_mean(c_stat)
     return CoefficientEstimate(
-        R=R,
+        R=e.R,
         c0_sq=float(c0_sq),
         c0_sq_stderr=float(c0_se),
         c_sq=c_sq,

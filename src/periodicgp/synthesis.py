@@ -38,6 +38,9 @@ from .core import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# grid values per batched transform: enough rows to amortize per-call
+# overhead, few enough that a chunk's temporaries stay at a few MB
+ROW_BUDGET = 2 ** 19
 
 
 def _as_int(value, what: str) -> int:
@@ -202,14 +205,15 @@ def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> Grid
 def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsemble:
     """R paths on j/n, replicate r from stream r, after checking R, the grid and the seed.
     rows(generators, out) writes each chunk of replicates into its rows of the ensemble;
-    a chunk is sized so that its transform rows, width values each, fit dft.ROW_BUDGET."""
+    a chunk holds as many replicates (at least one) as rows of width values fit ROW_BUDGET."""
     if R < 1:
         raise ValueError("need at least one replicate")
     check_grid(n)
     master_seed = RngStream(master_seed).master_seed
     values = np.empty((R, n))
-    for lo, hi in dft.row_chunks(R, width):
-        rows(generators(master_seed, range(lo, hi)), values[lo:hi])
+    step = max(1, ROW_BUDGET // width)
+    for lo in range(0, R, step):
+        rows(generators(master_seed, range(lo, min(lo + step, R))), values[lo:lo + step])
     return PathEnsemble._adopt(n, values)
 
 

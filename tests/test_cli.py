@@ -544,6 +544,13 @@ class TestBadInput:
         "fit-path-scale-out-of-range": (("fit", "--in", "{huge}"), "rescale the path"),
         # every T_k is nonzero but below the floor: too small to fit, not degenerate
         "fit-path-too-small": (("fit", "--in", "{tiny}"), "rescale the path"),
+        # every T_k underflows to 0 although the path is not constant
+        "fit-path-energies-underflow": (("fit", "--in", "{e200}"), "rescale the path"),
+        # lag products below the normal range vanish (1e-200) or lose digits (1e-160)
+        "regularity-in-products-underflow": (("regularity", "--in", "{e200}"),
+                                             "rescale the ensemble"),
+        "regularity-in-products-subnormal": (("regularity", "--in", "{e160}"),
+                                             "rescale the ensemble"),
         "fit-grid-not-power-of-two": (("fit", "--in", "{three}"),
                                       "{three}: grid size must be a power of two, n >= 4, got 3"),
         "transform-g2c-grid-not-power-of-two": (
@@ -593,6 +600,9 @@ class TestBadInput:
         write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e154, huge)
         tiny = tmp_path / "tiny.csv"
         write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e-152, tiny)
+        e160, e200 = tmp_path / "e160.csv", tmp_path / "e200.csv"
+        write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e-160, e160)
+        write_paths_csv(np.random.default_rng(5).standard_normal(64) * 1e-200, e200)
         cov = tmp_path / "cov.csv"
         spectral.write_covariogram_csv(bridge.centered_bridge_covariogram(64), cov)
         three, three_cov = tmp_path / "three.csv", tmp_path / "three_cov.csv"
@@ -604,14 +614,24 @@ class TestBadInput:
         out = tmp_path / "out"
         out.mkdir()
         argv, message = self.CASES[case]
-        files = dict(coeffs=coeffs, valid=valid, path=path, huge=huge, tiny=tiny, cov=cov,
-                     three=three, three_cov=three_cov, one=one, two=two)
+        files = dict(coeffs=coeffs, valid=valid, path=path, huge=huge, tiny=tiny, e160=e160,
+                     e200=e200, cov=cov, three=three, three_cov=three_cov, one=one, two=two)
         argv = [str(a).format(**files) for a in argv]
         message = message.format(**files)
         assert run(*argv, "--out", out / "x") == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err and "Warning" not in err
         assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("value", [0.0, 2.0], ids=["zero", "constant"])
+def test_regularity_of_increment_free_paths_exits_five(value, tmp_path, capsys):
+    # no rescaling gives these an increment: degenerate, not too small
+    path = tmp_path / "p.csv"
+    write_paths_csv(np.full((2, 64), value), path)
+    assert run("regularity", "--in", path, "--out", tmp_path / "x") == 5
+    err = capsys.readouterr().err
+    assert "nonpositive structure function" in err and "Traceback" not in err
 
 
 class TestCoefficientFileNotJson:
@@ -976,12 +996,15 @@ class TestEpsBudget:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # no command loads scipy.stats, which costs ~1 s to import; only the tests use it
+    # no command loads scipy.stats, which costs ~1 s to import; only the tests use it.
+    # Importing the CLI loads no scipy module at all, nor numpy.random, which the
+    # samplers register with on first use
     src = Path(periodicgp.__file__).resolve().parents[1]
-    code = "import sys, periodicgp.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, periodicgp.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 _NO_SCIPY_COMMANDS = r"""

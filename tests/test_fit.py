@@ -160,11 +160,13 @@ class TestFitMle:
             fit_mle(GridPath(256, np.full(256, 4.0)))
 
     def test_tiny_path_is_refused_not_degenerate(self):
-        # every T_k is nonzero but below 1e-300: a units problem, not a constant path
+        # every T_k is below 1e-300 (2^-505) or underflows to 0 (2^-700) although the
+        # harmonics are nonzero: a units problem, not a constant path
         path = _noise_free_path(1.0, 1.5, 511, 1024)
-        with pytest.raises(ValueError, match="rescale the path") as info:
-            fit_mle(GridPath(1024, path.values * 2.0 ** -505))
-        assert not isinstance(info.value, DegenerateDataError)
+        for j in (-505, -700):
+            with pytest.raises(ValueError, match="rescale the path") as info:
+                fit_mle(GridPath(1024, path.values * 2.0 ** j))
+            assert not isinstance(info.value, DegenerateDataError)
 
     def test_p_hat_is_the_same_down_to_the_energy_floor(self):
         path = _noise_free_path(1.0, 1.5, 511, 1024)

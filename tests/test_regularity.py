@@ -140,6 +140,20 @@ class TestStructureFunction:
             huge = structure_function(PathEnsemble(64, x * 1e150), [1, 2])
         assert np.allclose(huge.stderr / 1e300, unit.stderr, rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    def test_subnormal_mean_squares_are_refused(self, scale):
+        # lag products below the normal range lose digits (1e-160) or vanish (1e-200)
+        x = np.random.default_rng(3).standard_normal((4, 64)) * scale
+        with pytest.raises(ValueError, match="rescale the ensemble") as info:
+            structure_function(PathEnsemble(64, x), [1, 2])
+        assert not isinstance(info.value, DegenerateDataError)
+
+    def test_one_replicate_in_range_is_enough(self):
+        x = np.random.default_rng(3).standard_normal((2, 64))
+        x[1] *= 1e-200
+        sf = structure_function(PathEnsemble(64, x), [1, 2])
+        assert np.all(sf.value > 0.0)
+
     def test_lag_bounds(self):
         e = PathEnsemble(64, np.zeros((1, 64)))
         with pytest.raises(ValueError):
@@ -214,6 +228,14 @@ class TestEstimateHolder:
             estimate_holder(e)
 
     def test_constant_ensemble_rejected(self):
-        e = PathEnsemble(1024, np.ones((2, 1024)))
-        with pytest.raises(ValueError):
-            estimate_holder(e)
+        for value in (0.0, 1.0):
+            e = PathEnsemble(1024, np.full((2, 1024), value))
+            with pytest.raises(DegenerateDataError, match="nonpositive structure function"):
+                estimate_holder(e)
+
+    def test_same_estimate_down_to_1e_150(self):
+        x = synthesis.sample_ensemble(
+            fit.model_coefficients(ParametricModel(1.0, 1.0), 511), 511, 1024, 50, 3).values
+        base = estimate_holder(PathEnsemble(1024, x)).exponent
+        small = estimate_holder(PathEnsemble(1024, x * 1e-150)).exponent
+        assert small == pytest.approx(base, rel=1e-12)

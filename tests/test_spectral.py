@@ -1,5 +1,6 @@
 """Covariogram <-> coefficient transforms and the empirical estimator."""
 
+import hashlib
 import math
 import warnings
 
@@ -246,6 +247,26 @@ class TestEmpiricalCoeffs:
         target = np.array([1.0 / k**2 for k in range(1, 9)])
         z = (est.c_sq - target) / est.c_sq_stderr
         assert np.max(np.abs(z)) < 3
+
+    # SHA-256 of (c0_sq, c0_sq_stderr), c_sq and c_sq_stderr on a 300 x 4096 ensemble,
+    # pinned when the estimator still transformed 128 rows at a time
+    PINNED_DIGESTS = {
+        0: "9eeaa2d7d28a7582abad6c4fb2c2b1c3e017e93fac747f2da25580bc7625b553",
+        64: "3cb229ff916d6fcf3c7130e8b74fa1d2c673c1ed227dea1a97d4b6a7a193375b",
+        2047: "29afe1b60ffc1130ab1020f5691f25a69f674c64fb9243ddec4d8c82f08c2263",
+    }
+
+    def test_pinned_bytes(self, pinned_platform):
+        c = SpectralCoefficients(0.8, tuple(1.0 / np.arange(1, 2048) ** 1.1))
+        e = synthesis.sample_ensemble(c, 2047, 4096, 300, 8128)
+        got = {}
+        for K in self.PINNED_DIGESTS:
+            est = empirical_coeffs(e, K)
+            h = hashlib.sha256()
+            for a in ([est.c0_sq, est.c0_sq_stderr], est.c_sq, est.c_sq_stderr):
+                h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+            got[K] = h.hexdigest()
+        assert got == self.PINNED_DIGESTS, pinned_platform
 
 
 class TestCovariogramCsv:

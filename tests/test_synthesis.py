@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from periodicgp import bridge, dft, fit, regularity, synthesis
+from periodicgp import bridge, dft, fit, regularity, spectral, synthesis
 from periodicgp.core import (
     AliasingError,
     DegenerateDataError,
@@ -261,7 +261,7 @@ class TestSampleEnsemble:
         # R spans several row chunks; every row must equal the one-path
         # function on its own stream, bit for bit, for every construction
         R, n = 600, 1024
-        assert len(dft.row_chunks(R, n)) > 1 and len(dft.row_chunks(R, 2 * n)) > 1
+        assert synthesis.ROW_BUDGET // n < R and synthesis.ROW_BUDGET // (2 * n) < R
         c = SpectralCoefficients(0.3, (0.8, 0.4, 0.2, 0.1))
         e = sample_ensemble(c, 4, n, R, 13)
         for r in range(R):
@@ -560,6 +560,12 @@ class TestInPlaceEnsembles:
         # transform per 256-row chunk
         peak = _peak_mib(lambda: bridge.bridge_ensemble("centered_shift", 2000, 1024, 5))
         assert peak <= 25.5
+
+    def test_empirical_coeffs_peak_is_one_half_spectrum(self):
+        # 7.82 MiB for the 250 x 2049 complex half spectrum of one rfft of the ensemble
+        e = sample_ensemble(self.COEFFS, 2047, 4096, 250, 5)
+        peak = _peak_mib(lambda: spectral.empirical_coeffs(e, 64))
+        assert peak <= 9.0
 
     def test_sampler_outputs_are_readonly_contiguous_float64(self):
         outputs = [sample_ensemble(self.COEFFS, 7, 64, 3, 1).values,
