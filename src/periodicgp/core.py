@@ -59,6 +59,16 @@ def _readonly(a, copy: bool = True) -> np.ndarray:  # copy=False: a itself, or V
 
 
 class _Adopts:
+    def _check_values(self, copy: bool, ndim: int, noun: str, shape: str) -> None:
+        """n on the grid, values of ndim nonempty axes ending in n, all finite, kept read-only."""
+        check_grid(self.n)
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != ndim or v.shape[-1] != self.n or v.shape[0] < 1:
+            raise ValueError(shape)
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{noun} values must be finite")
+        object.__setattr__(self, "values", _readonly(v, copy))
+
     @classmethod
     def _adopt(cls, n: int, values: np.ndarray):
         """cls(n, values) with its checks, but keeping the fresh array itself, made read-only."""
@@ -205,10 +215,10 @@ class Covariogram:
 
     def at(self, delta):
         """Evaluate C at grid lag(s) delta, taken modulo 1."""
-        d = np.asarray(delta, dtype=float) % 1.0
-        idx = d * self.n
+        with np.errstate(invalid="ignore"):  # an infinite lag's remainder is NaN
+            idx = np.asarray(delta, dtype=float) % 1.0 * self.n
         j = np.rint(idx)
-        if np.max(np.abs(idx - j)) > 1e-9:
+        if not np.max(np.abs(idx - j)) <= 1e-9:  # written so that a NaN fails
             raise ValueError("covariogram evaluated off its grid")
         return self.values[j.astype(int) % self.n]
 
@@ -220,14 +230,8 @@ class GridPath(_Adopts):
     n: int
     values: np.ndarray
 
-    def __post_init__(self, copy: bool = True):
-        check_grid(self.n)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError("values must be a flat array of length n")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("path values must be finite")
-        object.__setattr__(self, "values", _readonly(v, copy))
+    def __post_init__(self, copy: bool = True):  # in each class: bench/spans.py times it there
+        self._check_values(copy, 1, "path", "values must be a flat array of length n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,14 +241,9 @@ class PathEnsemble(_Adopts):
     n: int
     values: np.ndarray
 
-    def __post_init__(self, copy: bool = True):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[1] != self.n or v.shape[0] < 1:
-            raise ValueError("ensemble values must have shape (R, n) with R >= 1")
-        check_grid(self.n)
-        if not np.all(np.isfinite(v)):
-            raise ValueError("ensemble values must be finite")
-        object.__setattr__(self, "values", _readonly(v, copy))
+    def __post_init__(self, copy: bool = True):  # in each class: bench/spans.py times it there
+        self._check_values(copy, 2, "ensemble",
+                           "ensemble values must have shape (R, n) with R >= 1")
 
     @property
     def R(self) -> int:

@@ -21,7 +21,7 @@ from .core import (
     RegularityReport,
     SpectralCoefficients,
 )
-from .synthesis import LagEstimate, replicate_lag_products, replicate_mean
+from .synthesis import LagEstimate, lag_array, replicate_lag_products, replicate_mean
 
 # beyond this raw structure-function slope the method saturates: the paths
 # are consistent with differentiability and the halved slope is reported as 1
@@ -74,17 +74,13 @@ def fit_decay(c: SpectralCoefficients, k_min: int = 1, k_max: int | None = None)
 
 def structure_function(e: PathEnsemble, lags) -> LagEstimate:
     """Mean squared increment S(d/n), circularly averaged over t and replicates."""
-    d = np.asarray(lags, dtype=int)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("need at least one lag")
-    if np.any(d < 1) or np.any(d > e.n // 2):
-        raise ValueError("lags must satisfy 1 <= d <= n/2")
+    d = lag_array(lags, 1, e.n // 2)
     per = replicate_lag_products(e.values, np.concatenate(([0], d)))
     tiny = np.finfo(float).tiny  # below it lag products are subnormal or 0
     if np.all(per[:, 0] < tiny) and e.values.any():
         raise ValueError(f"every path's mean square is below {tiny:.3g}; rescale the ensemble")
     value, stderr = replicate_mean(2.0 * (per[:, :1] - per[:, 1:]))
-    return LagEstimate(e.n, tuple(int(x) for x in d), value, stderr)
+    return LagEstimate(e.n, tuple(d.tolist()), value, stderr)
 
 
 @dataclass(frozen=True)

@@ -124,18 +124,18 @@ def _seeding_self_check() -> bool:
         ids = (r, 2 * r + 1, 0)
         for words, i in zip(_seed_words(seed, ids), ids):
             state = np.random.PCG64(_SeedWords(words)).state
-            if state != np.random.default_rng([seed, i]).bit_generator.state:
+            if state != RngStream(seed, i).generator().bit_generator.state:
                 return False
     return True
 
 
 def generators(master_seed: int, stream_ids) -> list:
     """One numpy Generator per stream id of master_seed, in order.  Two or more
-    streams are seeded from one vectorized pass, a single one by default_rng."""
+    streams are seeded from one vectorized pass, a single one by RngStream.generator."""
     if len(stream_ids) > 1 and _seeding_self_check():
         words = _seed_words(master_seed, stream_ids)
         return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
-    return [np.random.default_rng([master_seed, r]) for r in stream_ids]
+    return [RngStream(master_seed, r).generator() for r in stream_ids]
 
 
 def truncation_index(c: SpectralCoefficients, eps: float) -> int:
@@ -203,13 +203,13 @@ def sample_path(c: SpectralCoefficients, K: int, n: int, rng: RngStream) -> Grid
 
 
 def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsemble:
-    """R paths on j/n, replicate r from stream r, after checking R, the grid and the seed.
-    rows(generators, out) writes each chunk of replicates into its rows of the ensemble;
-    a chunk holds as many replicates (at least one) as rows of width values fit ROW_BUDGET."""
+    """R paths on j/n, replicate r from stream r.  rows(generators, out) writes each chunk of
+    replicates into its rows; a chunk holds as many (at least one) as rows of width values fit
+    ROW_BUDGET.  R and the seed are checked here, the rest by rows([]) before any sizing."""
     if R < 1:
         raise ValueError("need at least one replicate")
-    check_grid(n)
     master_seed = RngStream(master_seed).master_seed
+    rows([])
     values = np.empty((R, n))
     step = max(1, ROW_BUDGET // width)
     for lo in range(0, R, step):
@@ -223,6 +223,16 @@ def sample_ensemble(c: SpectralCoefficients, K: int, n: int, R: int,
     return _ensemble(functools.partial(_series_rows, c, K, n), R, n, master_seed, n)
 
 
+def lag_array(lags, lo: int, hi: int) -> np.ndarray:
+    """lags as a flat int array, each an integer (not a float, bool or string) in lo..hi."""
+    d = [_as_int(x, "lag") for x in lags] if np.ndim(lags) == 1 else []
+    if not d:
+        raise ValueError("need at least one lag")
+    if min(d) < lo or max(d) > hi:
+        raise ValueError(f"lags must satisfy {lo} <= d <= {hi}")
+    return np.array(d)
+
+
 def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     """Per-replicate circular products (1/n) sum_j x_j x_{j+d}, one column per lag.
 
@@ -231,11 +241,7 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     """
     v = np.ascontiguousarray(np.atleast_2d(values), dtype=float)
     R, n = v.shape
-    d = np.asarray(lags, dtype=int)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("need at least one lag")
-    if np.any(d < 0) or np.any(d >= n):
-        raise ValueError("lags must satisfy 0 <= d < n")
+    d = lag_array(lags, 0, n - 1)
     out = np.empty((R, d.size))
     # plain einsum, not @ or np.dot: BLAS would order the sums by its build and threads
     with np.errstate(over="ignore", invalid="ignore"):
@@ -276,6 +282,5 @@ class LagEstimate:
 
 def empirical_covariogram(e: PathEnsemble, lags) -> LagEstimate:
     """Estimate C(d/n) by circular averaging over the grid and replicates, O(R n L) for L lags."""
-    d = np.asarray(lags, dtype=int)
-    value, stderr = replicate_mean(replicate_lag_products(e.values, d))
-    return LagEstimate(e.n, tuple(int(x) for x in d), value, stderr)
+    value, stderr = replicate_mean(replicate_lag_products(e.values, lags))  # checks the lags
+    return LagEstimate(e.n, tuple(map(int, lags)), value, stderr)

@@ -623,6 +623,20 @@ class TestBadInput:
         assert message in err and "Traceback" not in err and "Warning" not in err
         assert not any(out.iterdir())
 
+    # --trunc is checked before 10^9 paths are sized: an aliased harmonic exits 3 and a
+    # sine truncation past the grid exits 2, each with its own message
+    @pytest.mark.parametrize("model, code, message", [
+        (("param", "--a", 1, "--p", 1.5, "--trunc", 600), 3, "harmonic 600 is aliased"),
+        (("bridge:plain", "--trunc", 5000), 2, "sine truncation"),
+    ], ids=["param-aliased", "bridge-plain-sine-truncation"])
+    def test_truncation_refused_before_paths_are_allocated(self, model, code, message,
+                                                           tmp_path, capsys):
+        assert run("simulate", "--model", *model, "--n", 1024, "--paths", 10 ** 9,
+                   "--seed", 0, "--out", tmp_path / "x") == code
+        err = capsys.readouterr().err
+        assert message in err and "Unable to allocate" not in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize("value", [0.0, 2.0], ids=["zero", "constant"])
 def test_regularity_of_increment_free_paths_exits_five(value, tmp_path, capsys):

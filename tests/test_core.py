@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodicgp import bridge, core, dft, fit, spectral
+from periodicgp import bridge, core, dft, fit, spectral, synthesis
 from periodicgp.core import (
+    AliasingError,
     Covariogram,
     GridPath,
     ParametricModel,
@@ -183,6 +184,14 @@ class TestCovariogram:
         g = Covariogram(1 + np.cos(2 * np.pi * np.arange(8) / 8))
         assert g.at(1.25) == g.at(0.25) == g.at(-0.75) == g.values[2]
 
+    def test_at_huge_whole_lags_read_lag_zero(self):
+        # 1e300 is a whole number, so it lies on the grid: C(0), without a warning
+        g = bridge.centered_bridge_covariogram(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.at(1e300) == g.at(-1e300) == g.values[0]
+            assert np.array_equal(g.at([0.25, 1e300]), g.values[[4, 0]])
+
     def test_asymmetric_table_rejected(self):
         v = np.cos(2 * np.pi * np.arange(8) / 8)
         v[3] += 0.1
@@ -303,13 +312,38 @@ LIBRARY_REFUSALS = {
                                   "stream id must be nonnegative"),
     "empirical_covariogram-no-lag": (lambda: empirical_covariogram(_small_ensemble(), []),
                                      ValueError, "need at least one lag"),
+    # a lag is an integer: floats, bools and strings are refused, not rounded or converted
+    **{f"{name}-lag-{lag!r}": (lambda call=call, lag=lag: call([lag]), ValueError,
+                               f"lag must be an integer, got {lag!r}")
+       for name, call in (
+           ("replicate_lag_products",
+            lambda lags: synthesis.replicate_lag_products(_small_ensemble().values, lags)),
+           ("empirical_covariogram", lambda lags: empirical_covariogram(_small_ensemble(), lags)),
+           ("structure_function", lambda lags: structure_function(_small_ensemble(), lags)))
+       for lag in (0.5, 1.9, True, "2")},
+    # NaN and infinite lags lie on no grid point
+    **{f"Covariogram.at-{delta}": (
+        lambda delta=delta: bridge.centered_bridge_covariogram(16).at(delta), ValueError,
+        "covariogram evaluated off its grid") for delta in (math.nan, math.inf, -math.inf)},
+    # the sampler's arguments are checked before its 2^40 rows are allocated
+    "sample_ensemble-aliased-before-allocation": (
+        lambda: sample_ensemble(fit.model_coefficients(ParametricModel(1.0, 1.5), 1), 600, 1024,
+                                2 ** 40, 0),
+        AliasingError, "harmonic 600 is aliased on a grid of size 1024"),
+    "bridge_ensemble-M-before-allocation": (
+        lambda: bridge.bridge_ensemble("plain", 2 ** 40, 1024, 0, M=1024), ValueError,
+        "sine truncation must satisfy 0 <= M < n"),
+    "bridge_ensemble-variant-before-allocation": (
+        lambda: bridge.bridge_ensemble("nope", 2 ** 40, 64, 0), ValueError,
+        "unknown bridge variant 'nope'"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LIBRARY_REFUSALS))
 def test_each_library_refusal_raises_its_class_and_message(name):
     call, cls, message = LIBRARY_REFUSALS[name]
-    with pytest.raises(ValueError) as info:
+    with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+        warnings.simplefilter("error")
         call()
     assert type(info.value) is cls
     assert str(info.value) == message

@@ -92,3 +92,13 @@ def test_every_public_method_is_read():
               for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and not fn.name.startswith("_") and fn.name not in read]
     assert unread == []
+
+
+def test_default_rng_is_named_once_in_rng_stream_generator():
+    # the map from stream r of seed s to default_rng([s, r]) is written in one place
+    named = sum(ref == "default_rng" for tree in MODULES.values() for ref in _references(tree))
+    stream = next(node for node in MODULES["synthesis.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "RngStream")
+    generator = next(fn for fn in stream.body
+                     if isinstance(fn, ast.FunctionDef) and fn.name == "generator")
+    assert named == 1 and "default_rng" in _references(generator)
