@@ -4,8 +4,9 @@ A port of the survival-function path of scipy 1.17.1's
 ``scipy.stats._ksstats._kolmogn(n, d, cdf=False)`` (BSD-3-Clause, Copyright
 the SciPy developers), with the same numpy operations in the same order, so
 that ``sf`` equals ``scipy.stats.kstwo.sf`` bit for bit without importing
-``scipy.stats``.  Only the ``cdf`` argument and checks that this path cannot
-reach are dropped.  The method and its cut-offs are those of
+``scipy.stats``, or ``scipy.special``: ``smirnov`` is scipy's own ufunc from
+``core._scipy_ufuncs``.  Only the ``cdf`` argument and checks that this path
+cannot reach are dropped.  The method and its cut-offs are those of
 
     Simard R, L'Ecuyer P (2011).  Computing the two-sided Kolmogorov-Smirnov
     distribution.  J. Stat. Softw. 39(11), 1-18.
@@ -26,8 +27,10 @@ Algorithm 487, CACM 17(12), 703-704; Pelz W, Good IJ (1976), JRSS B 38(2),
 """
 
 import numpy as np
-from scipy.special import smirnov
 
+from .core import _scipy_ufuncs
+
+smirnov = _scipy_ufuncs().smirnov
 _E128 = 128
 _EP128, _EM128 = np.ldexp(np.longdouble(1), _E128), np.ldexp(np.longdouble(1), -_E128)
 _SQRT2PI, _LOG_2PI, _SQRT3 = np.sqrt(2 * np.pi), np.log(2 * np.pi), np.sqrt(3)

@@ -34,6 +34,7 @@ from .core import (Covariogram, GridPath, PathEnsemble, SpectralCoefficients, Ta
 from .synthesis import (
     SQRT2,
     RngStream,
+    _as_int,
     _ensemble,
     _path,
     replicate_lag_products,
@@ -80,7 +81,7 @@ def resolve_truncation(variant: str, n: int, M: int | None = None) -> int:
     if variant not in VARIANTS:
         raise ValueError(f"unknown bridge variant {variant!r}")
     if M is not None:
-        return M
+        return _as_int(M, "sine truncation M")
     return n // 2 - 1 if variant == "centered_series" else n // 2
 
 

@@ -22,6 +22,9 @@ with DFT bins and circular shifts are plain index rotations.
 
 from __future__ import annotations
 
+import _imp
+import functools
+import importlib.util
 import itertools
 import json
 import math
@@ -50,6 +53,29 @@ def check_grid(n) -> None:
     own DFT bins below Nyquist.  Call it before sizing any work from n."""
     if not (isinstance(n, (int, np.integer)) and n >= 4 and (int(n) & (int(n) - 1)) == 0):
         raise ValueError(f"grid size must be a power of two, n >= 4, got {n}")
+
+
+@functools.cache  # once per process: the spec search is file-system work
+def _scipy_ufuncs():
+    """scipy.special._ufuncs, scipy's compiled expm1, smirnov and _zeta, without the package's
+    array-API layer (half a cold fit's time): loaded under a bare package stub, kept in
+    sys.modules only under the import lock.  A later import of scipy.special reuses them."""
+    try:
+        _imp.acquire_lock()
+        try:
+            if "scipy.special" in sys.modules:
+                return sys.modules["scipy.special"]._ufuncs
+            spec = importlib.util.find_spec("scipy.special")
+            spec._initializing = True  # another thread's import waits for the lock, then loads
+            sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+            try:
+                return importlib.import_module("scipy.special._ufuncs")
+            finally:
+                del sys.modules[spec.name]
+        finally:
+            _imp.release_lock()
+    except (ImportError, AttributeError):  # a scipy laid out otherwise: the whole package
+        return importlib.import_module("scipy.special")._ufuncs
 
 
 def _readonly(a, copy: bool = True) -> np.ndarray:  # copy=False: a itself, or ValueError
@@ -92,14 +118,9 @@ class TailDecay:
             raise ValueError("tail constant must be finite and nonnegative")
 
     def mass_beyond(self, k: int) -> float:
-        """Exact remainder 2 * sum_{j>k} const * j**(-q), via the Hurwitz zeta function.
-
-        scipy.special is imported on the first call; of the CLI's commands only
-        --eps gets here, so the others never pay its import time.
-        """
-        from scipy.special import zeta
-
-        return 2.0 * self.const * float(zeta(self.q, k + 1))
+        """Exact remainder 2 * sum_{j>k} const * j**(-q) by scipy's Hurwitz zeta ufunc, as
+        scipy.special.zeta(q, k + 1) calls it; of the CLI's commands only --eps gets here."""
+        return 2.0 * self.const * float(_scipy_ufuncs()._zeta(self.q, k + 1))
 
     def coefficient(self, k):
         """c_k implied by the tail law, for scalar or array k."""

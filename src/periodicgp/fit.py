@@ -50,6 +50,7 @@ from .core import (
     ParametricModel,
     SpectralCoefficients,
     TailDecay,
+    _scipy_ufuncs,
 )
 
 DEFAULT_P_BOUNDS = (0.55, 6.0)
@@ -231,7 +232,7 @@ def _residuals(T: np.ndarray, result: FitResult) -> np.ndarray:  # Exp(1) under 
 
 def _ks_pvalue(D: float, n: int) -> float:
     """P(D_n >= D), the exact two-sided Kolmogorov tail that kstwo.sf computes."""
-    from . import _kolmogorov  # lazy: it imports scipy.special
+    from . import _kolmogorov  # lazy: it loads scipy's ufunc extension
 
     return min(max(float(_kolmogorov.sf(n, D)), 0.0), 1.0)  # a NaN passes, as in np.clip
 
@@ -239,20 +240,17 @@ def _ks_pvalue(D: float, n: int) -> float:
 def residual_report(r: np.ndarray) -> GoodnessReport:
     """Dispersion and one-sample two-sided KS test of residuals against Exp(1).
 
-    The KS statistic and its exact p-value are those of
-    scipy.stats.kstest(r, "expon"), computed without scipy.stats.  The
-    p-value comes from _kolmogorov, a port of scipy's exact Kolmogorov kernel
-    (Simard & L'Ecuyer, J. Stat. Softw. 39(11), 2011), pinned bit for bit
-    against kstwo.sf by a differential test in tests/test_fit.py.
-    scipy.special is imported on the first call, so that no other command
-    pays its import time.
+    The KS statistic and its exact p-value are those of scipy.stats.kstest(r, "expon"),
+    computed without scipy.stats.  The p-value comes from _kolmogorov, a port of scipy's
+    exact Kolmogorov kernel (Simard & L'Ecuyer, J. Stat. Softw. 39(11), 2011), pinned bit
+    for bit against kstwo.sf by a differential test in tests/test_fit.py.  expm1 is
+    scipy's ufunc, loaded on the first call by core._scipy_ufuncs, so that no other
+    command pays for it.
     """
-    from scipy.special import expm1
-
     n = r.size
     mean = float(r.mean())
     dispersion = float(r.var(ddof=1)) / mean ** 2
-    cdf = -expm1(-np.sort(r))
+    cdf = -_scipy_ufuncs().expm1(-np.sort(r))
     D = float(max(np.max(np.arange(1.0, n + 1) / n - cdf), np.max(cdf - np.arange(0.0, n) / n)))
     return GoodnessReport(
         residual_mean=mean,

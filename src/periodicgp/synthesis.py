@@ -180,6 +180,7 @@ def _series_rows(c: SpectralCoefficients, K: int, n: int, gens, out=None) -> np.
     and one inverse transform runs over the rows, so no row sees its neighbours.
     """
     check_grid(n)
+    K = _as_int(K, "harmonic count K")
     dft.check_harmonics(K, n)
     F = np.zeros((len(gens), n // 2 + 1), dtype=complex)
     flat = F.view(float)
@@ -206,6 +207,7 @@ def _ensemble(rows, R: int, n: int, master_seed: int, width: int) -> PathEnsembl
     """R paths on j/n, replicate r from stream r.  rows(generators, out) writes each chunk of
     replicates into its rows; a chunk holds as many (at least one) as rows of width values fit
     ROW_BUDGET.  R and the seed are checked here, the rest by rows([]) before any sizing."""
+    R = _as_int(R, "replicate count R")
     if R < 1:
         raise ValueError("need at least one replicate")
     master_seed = RngStream(master_seed).master_seed

@@ -6,15 +6,17 @@ One test per criterion, named and printed as its own pass/fail line.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from periodicgp import bridge, fit, regularity, spectral, synthesis
+from periodicgp import bridge, core, fit, regularity, spectral, synthesis
 from periodicgp.cli import main as cli_main
 from periodicgp.core import (
     ParametricModel,
@@ -271,3 +273,27 @@ def test_golden_output_digests(tmp_path, monkeypatch, pinned_platform):
                for f in root.iterdir()}
     assert digests == GOLDEN_DIGESTS, pinned_platform
     print(f"\nPASS golden digests: {len(digests)} output files match")
+
+
+def test_fit_bytes_through_the_scipy_special_fallback(tmp_path, monkeypatch, pinned_platform,
+                                                      without_scipy_special):
+    # a scipy whose ufunc extension cannot load alone gets the whole package imported,
+    # whose ufuncs are the same objects, so fit writes the golden bytes
+    def no_spec(name):
+        raise ImportError(f"no spec for {name}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.util, "find_spec", no_spec)
+        core._scipy_ufuncs()
+    assert "scipy.special" in sys.modules  # the fallback ran
+    monkeypatch.chdir(tmp_path)
+    cfile, gfile = _criterion_9_inputs(Path("."))
+    root = Path("out")
+    root.mkdir()
+    simulate, fit_argv = (argv for argv in _criterion_9_commands(root, cfile, gfile)
+                          if argv[-1] in (str(root / "sim"), str(root / "fit")))
+    for argv in (simulate, fit_argv):
+        assert cli_main(list(argv)) == 0, argv
+    for name in ("fit.json", "fit.residuals.csv"):
+        digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name], pinned_platform

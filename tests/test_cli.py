@@ -1046,16 +1046,24 @@ loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 codes = [main(argv) for argv in commands]
 scipy = loaded()
 late = [main(["fit", "--in", d + "/sim.csv", "--out", d + "/fit"])]
-after_fit = loaded()
+after_fit = sorted(sys.modules)
 late.append(main(["simulate", "--model", "param", "--a", "1", "--p", "3", "--n", "64",
                   "--eps", "1e-4", "--seed", "5", "--out", d + "/eps"]))
-print(json.dumps({"codes": codes, "scipy": scipy, "late": late, "after_fit": after_fit}))
+after_eps = sorted(sys.modules)
+# the package imported afterwards holds the very ufuncs that fit and --eps used
+from periodicgp.core import _scipy_ufuncs
+import scipy.special as special
+u = _scipy_ufuncs()
+same = [special.expm1 is u.expm1, special.smirnov is u.smirnov,
+        special._ufuncs._zeta is u._zeta, bool(special.zeta(2.5, 7) == u._zeta(2.5, 7))]
+print(json.dumps({"codes": codes, "scipy": scipy, "late": late, "after_fit": after_fit,
+                  "after_eps": after_eps, "same": same}))
 """
 
 
 def test_only_fit_and_eps_load_scipy(tmp_path):
-    # scipy.special is a third of the CLI's start-up time; only fit and --eps use it,
-    # and no command loads scipy.stats
+    # only fit and --eps use scipy, and only its compiled ufuncs: the scipy.special package
+    # would add its array-API layer, half a cold fit's time; no command loads scipy.stats
     write_coefficients(SpectralCoefficients(1.0, (0.5, 0.25, 0.125)), tmp_path / "c.json")
     src = Path(periodicgp.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", _NO_SCIPY_COMMANDS, str(tmp_path)],
@@ -1065,9 +1073,14 @@ def test_only_fit_and_eps_load_scipy(tmp_path):
     assert result["codes"] == [0] * 9, out.stderr
     assert result["scipy"] == []
     assert result["late"] == [0, 0], out.stderr
-    # fit's p-value comes from periodicgp._kolmogorov, which needs scipy.special only
-    assert "scipy.special" in result["after_fit"]
-    assert not [m for m in result["after_fit"] if m.split(".")[:2] == ["scipy", "stats"]]
+    # fit's p-value (periodicgp._kolmogorov) and --eps take scipy's ufunc extension alone
+    package = {"scipy.special", "scipy.special._support_alternative_backends",
+               "scipy._lib._array_api", "numpy.f2py", "numpy.testing"}
+    for modules in (result["after_fit"], result["after_eps"]):
+        assert "scipy.special._ufuncs" in modules
+        assert package.isdisjoint(modules), sorted(package.intersection(modules))
+        assert not [m for m in modules if m.split(".")[:2] == ["scipy", "stats"]]
+    assert result["same"] == [True] * 4
 
 
 def test_python_m_periodicgp_writes_what_main_writes(tmp_path, monkeypatch):

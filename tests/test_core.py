@@ -1,16 +1,20 @@
 """Core types: coefficient validation, norms, covariograms, file formats."""
 
+import _imp
 import decimal
+import importlib.util
 import itertools
 import json
 import math
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from periodicgp import bridge, core, dft, fit, spectral, synthesis
@@ -141,6 +145,82 @@ class TestTailDecay:
         tail = TailDecay(q=3.0, const=2.0)
         k = np.arange(101, 200001)
         assert tail.mass_beyond(100) == pytest.approx(2 * 2.0 * np.sum(k**-3.0), rel=1e-6)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 511, 2 ** 40, 2 ** 62 - 1])
+    def test_mass_beyond_is_scipy_special_zeta_bit_for_bit(self, k):
+        for q, const in ((1.1, 0.3), (2.0, 1.0 / (4.0 * math.pi ** 2)), (7.5, 2.0)):
+            want = 2.0 * const * float(scipy.special.zeta(q, k + 1))
+            assert TailDecay(q, const).mass_beyond(k) == want
+
+
+class TestScipyUfuncs:
+    # core._scipy_ufuncs: scipy's compiled ufuncs without the scipy.special package
+    def test_a_loaded_scipy_special_lends_its_extension(self, monkeypatch):
+        def no_search(name):
+            raise AssertionError(f"searched for {name}")
+
+        monkeypatch.setattr(importlib.util, "find_spec", no_search)
+        core._scipy_ufuncs.cache_clear()
+        try:
+            assert core._scipy_ufuncs() is scipy.special._ufuncs
+        finally:
+            core._scipy_ufuncs.cache_clear()
+        assert sys.modules["scipy.special"] is scipy.special  # no stub over the package
+
+    def test_the_extension_loads_under_a_locked_stub_that_is_removed(self, without_scipy_special,
+                                                                      monkeypatch):
+        seen = []
+        import_module = importlib.import_module
+
+        def watched(name):
+            stub = sys.modules["scipy.special"]
+            seen.append((name, stub.__spec__.name, list(stub.__path__),
+                         hasattr(stub, "expm1"), _imp.lock_held()))
+            return import_module(name)
+
+        monkeypatch.setattr(importlib, "import_module", watched)
+        u = core._scipy_ufuncs()
+        path = importlib.util.find_spec("scipy.special").submodule_search_locations
+        # a bare package (its __init__ never ran) under the import lock, then gone
+        assert seen == [("scipy.special._ufuncs", "scipy.special", path, False, True)]
+        assert "scipy.special" not in sys.modules and not _imp.lock_held()
+        assert u is sys.modules["scipy.special._ufuncs"]
+        assert core._scipy_ufuncs() is u and len(seen) == 1  # cached
+        # the package imported afterwards holds the very same ufuncs
+        special = import_module("scipy.special")
+        assert special.expm1 is u.expm1 and special.smirnov is u.smirnov
+        assert special._ufuncs._zeta is u._zeta
+
+    def test_another_threads_import_waits_out_the_stub(self, without_scipy_special, monkeypatch):
+        # a second thread importing scipy.special while the stub is in sys.modules blocks on
+        # the import lock, then imports the package itself rather than take the bare stub
+        import_module = importlib.import_module
+        got = []
+        thread = threading.Thread(target=lambda: got.append(import_module("scipy.special")))
+
+        def racing(name):
+            thread.start()
+            time.sleep(0.1)
+            assert thread.is_alive()  # waiting for the lock
+            return import_module(name)
+
+        monkeypatch.setattr(importlib, "import_module", racing)
+        core._scipy_ufuncs()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert got[0] is sys.modules["scipy.special"] and hasattr(got[0], "expm1")
+
+    def test_a_failed_stub_import_falls_back_to_the_package(self, without_scipy_special,
+                                                            monkeypatch):
+        def no_spec(name):
+            raise ImportError(f"no spec for {name}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.util, "find_spec", no_spec)
+            u = core._scipy_ufuncs()
+        assert not _imp.lock_held()
+        assert sys.modules["scipy.special"]._ufuncs is u  # imported whole
+        assert u is sys.modules["scipy.special._ufuncs"]
 
 
 class TestSpectralCoefficients:
@@ -336,6 +416,22 @@ LIBRARY_REFUSALS = {
     "bridge_ensemble-variant-before-allocation": (
         lambda: bridge.bridge_ensemble("nope", 2 ** 40, 64, 0), ValueError,
         "unknown bridge variant 'nope'"),
+    # the samplers' R, K and M are integers, as seeds and lags are
+    "bridge_ensemble-R-2.5": (lambda: bridge.bridge_ensemble("plain", 2.5, 64, 0), ValueError,
+                              "replicate count R must be an integer, got 2.5"),
+    "sample_ensemble-R-True": (lambda: sample_ensemble(_series(), 3, 64, True, 0), ValueError,
+                               "replicate count R must be an integer, got True"),
+    "sample_ensemble-K-2.0": (lambda: sample_ensemble(_series(), 2.0, 64, 2, 0), ValueError,
+                              "harmonic count K must be an integer, got 2.0"),
+    "sample_ensemble-K-True": (lambda: sample_ensemble(_series(), True, 64, 2, 0), ValueError,
+                               "harmonic count K must be an integer, got True"),
+    "sample_path-K-3.0": (lambda: sample_path(_series(), 3.0, 64, RngStream(1)), ValueError,
+                          "harmonic count K must be an integer, got 3.0"),
+    "bridge_ensemble-M-3.0": (lambda: bridge.bridge_ensemble("plain", 4, 64, 0, M=3.0),
+                              ValueError, "sine truncation M must be an integer, got 3.0"),
+    "bridge_path-M-True": (
+        lambda: bridge.bridge_path("centered_series", 64, True, RngStream(1)), ValueError,
+        "sine truncation M must be an integer, got True"),
 }
 
 
@@ -372,6 +468,10 @@ class TestParametricModel:
 
 def _small_ensemble():
     return PathEnsemble(16, np.cos(np.arange(32.0)).reshape(2, 16))
+
+
+def _series():
+    return fit.model_coefficients(ParametricModel(1.0, 1.5), 8)
 
 
 # value types holding arrays: == and hash fall back to identity

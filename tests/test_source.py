@@ -102,3 +102,35 @@ def test_default_rng_is_named_once_in_rng_stream_generator():
     generator = next(fn for fn in stream.body
                      if isinstance(fn, ast.FunctionDef) and fn.name == "generator")
     assert named == 1 and "default_rng" in _references(generator)
+
+
+def _names_scipy_special(node) -> bool:
+    """An import of scipy.special or a submodule, or a string naming one."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        names = [node.value]
+    else:
+        return False
+    return any(name == "scipy.special" or name.startswith("scipy.special.") for name in names)
+
+
+def test_only_the_ufunc_helper_imports_scipy_special():
+    # fit and --eps take scipy's ufuncs from core._scipy_ufuncs, which loads the extension
+    # without the package; importing the package anywhere else costs its array-API layer
+    helper = next(fn for fn in MODULES["core.py"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_scipy_ufuncs")
+    inside = {id(node) for node in ast.walk(helper)}
+    elsewhere = [f"{name}:{node.lineno}" for name, tree in MODULES.items()
+                 for node in ast.walk(tree)
+                 if id(node) not in inside and _names_scipy_special(node)]
+    assert elsewhere == []
+    # in the helper, only its fallback (the except handler) imports the package itself
+    fallback = {id(node) for handler in ast.walk(helper) if isinstance(handler, ast.ExceptHandler)
+                for node in ast.walk(handler)}
+    package = [node for node in ast.walk(helper) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) in ("import_module", "__import__")
+               and [getattr(arg, "value", None) for arg in node.args[:1]] == ["scipy.special"]]
+    assert package and all(id(node) in fallback for node in package)
