@@ -30,17 +30,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Covariogram, GridPath, PathEnsemble, SpectralCoefficients, TailDecay,
-                   check_grid)
+                   _as_int, check_grid)
 from .synthesis import (
     SQRT2,
     RngStream,
-    _as_int,
     _ensemble,
     _path,
+    _series_rows,
     replicate_lag_products,
     replicate_mean,
-    sample_ensemble,
-    sample_path,
 )
 
 VARIANTS = ("plain", "centered_shift", "centralized", "centered_series")
@@ -86,15 +84,16 @@ def resolve_truncation(variant: str, n: int, M: int | None = None) -> int:
 
 
 def _sine_rows(variant: str, n: int, M: int | None, gens, out=None) -> np.ndarray:
-    """Sine-series bridge rows on j/n, one per generator, through one transform.
-
-    Each generator draws the centered_shift offset first, then its W block.
-    sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n: Im F_k
-    of its half spectrum is set to -n sqrt2 W_k / (k pi).  Into out (or new rows),
-    centered_shift rotates them by their offsets, centralized subtracts row means.
-    """
+    """Bridge rows of the variant on j/n, one per generator: centered_series truncates the
+    series of centered_bridge_coefficients at M harmonics, the other variants are sine series
+    through one transform, each generator drawing the centered_shift offset first, then its
+    W block.  sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n: Im F_k of
+    its half spectrum is -n sqrt2 W_k / (k pi).  Into out (or new rows), centered_shift
+    rotates them by their offsets, centralized subtracts row means."""
     check_grid(n)
     M = resolve_truncation(variant, n, M)
+    if variant == "centered_series":
+        return _series_rows(centered_bridge_coefficients(), M, n, gens, out)
     if M < 0 or M >= n:
         raise ValueError("sine truncation must satisfy 0 <= M < n")
     shifts = np.zeros(len(gens), dtype=int)
@@ -125,18 +124,12 @@ def plain_bridge_path(n: int, M: int | None = None, rng: RngStream = None) -> Gr
 
 def bridge_path(variant: str, n: int, M: int | None = None, rng: RngStream = None) -> GridPath:
     """One bridge path of the given variant on j/n, drawn from stream rng."""
-    if variant == "centered_series":
-        return sample_path(centered_bridge_coefficients(),
-                           resolve_truncation(variant, n, M), n, rng)
     return _path(functools.partial(_sine_rows, variant, n, M), n, rng)
 
 
 def bridge_ensemble(variant: str, R: int, n: int, master_seed: int,
                     M: int | None = None) -> PathEnsemble:
     """R replicate bridge paths, one stream per replicate as in synthesis."""
-    if variant == "centered_series":
-        return sample_ensemble(centered_bridge_coefficients(),
-                               resolve_truncation(variant, n, M), n, R, master_seed)
     return _ensemble(functools.partial(_sine_rows, variant, n, M), R, n, master_seed, 2 * n)
 
 
@@ -152,9 +145,9 @@ def proof_identity(k: int, terms: int) -> IdentityCheck:
     Partial sums increase monotonically in the number of terms and stay
     below the closed form, so the gap is a one-sided convergence measure.
     """
-    if k < 1:
+    if _as_int(k, "harmonic index k") < 1:
         raise ValueError("harmonic index k must be >= 1")
-    if terms < 1:
+    if _as_int(terms, "term count") < 1:
         raise ValueError("need at least one term")
     m = np.arange(terms, dtype=float)
     series = (1.0 / (2 * k + 2 * m + 1) + 1.0 / (2 * k - 2 * m - 1)) ** 2

@@ -28,6 +28,7 @@ import importlib.util
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -55,11 +56,23 @@ def check_grid(n) -> None:
         raise ValueError(f"grid size must be a power of two, n >= 4, got {n}")
 
 
+def _as_int(value, what: str) -> int:
+    """value as a plain int: integer scalars such as np.uint64 convert, floats and bools fail."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @functools.cache  # once per process: the spec search is file-system work
 def _scipy_ufuncs():
     """scipy.special._ufuncs, scipy's compiled expm1, smirnov and _zeta, without the package's
     array-API layer (half a cold fit's time): loaded under a bare package stub, kept in
-    sys.modules only under the import lock.  A later import of scipy.special reuses them."""
+    sys.modules only under the import lock.  A later import of scipy.special reuses them.
+    A thread whose `from scipy.special import name` took the stub before the lock gets the
+    name from the package by the stub's __getattr__, once the stub has left sys.modules."""
     try:
         _imp.acquire_lock()
         try:
@@ -67,7 +80,14 @@ def _scipy_ufuncs():
                 return sys.modules["scipy.special"]._ufuncs
             spec = importlib.util.find_spec("scipy.special")
             spec._initializing = True  # another thread's import waits for the lock, then loads
-            sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+            stub = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+
+            def forward(name):  # the stub's module __getattr__
+                if sys.modules.get(spec.name) is stub:
+                    raise AttributeError(f"module {spec.name!r} has no attribute {name!r}")
+                return getattr(importlib.import_module(spec.name), name)
+
+            stub.__getattr__ = forward
             try:
                 return importlib.import_module("scipy.special._ufuncs")
             finally:
@@ -161,7 +181,7 @@ class SpectralCoefficients:
 
     def materialize(self, K: int) -> np.ndarray:
         """c_1..c_K as an array, extended by the declared tail where needed."""
-        out = np.zeros(K)
+        out = np.zeros(_as_int(K, "harmonic count K"))
         m = min(K, self.support)
         out[:m] = self.c[:m]
         if self.declared_tail is not None and K > self.support:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AliasingError, GridPath
+from .core import AliasingError, GridPath, _as_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +65,12 @@ def spectrum(n: int, mean, sin_coef, cos_coef, nyquist=0.0) -> np.ndarray:
     return F
 
 
-def check_harmonics(K: int, n: int) -> None:
-    """Harmonics 0..K on an n-point grid: K < 0 is a ValueError, K >= n/2 aliases."""
+def check_harmonics(K: int, n: int) -> int:
+    """The harmonic-count rule: K as an int for harmonics 0..K on n points.  A K that is not
+    an integer (a float or bool) or is negative is a ValueError, K >= n/2 an AliasingError."""
+    K = _as_int(K, "harmonic count K")
     if K < 0:
         raise ValueError(f"harmonic count K must be nonnegative, got {K}")
     if K >= n // 2:
         raise AliasingError(f"harmonic {K} is aliased on a grid of size {n}")
+    return K

@@ -50,6 +50,7 @@ from .core import (
     ParametricModel,
     SpectralCoefficients,
     TailDecay,
+    _as_int,
     _scipy_ufuncs,
 )
 
@@ -61,7 +62,7 @@ _ENERGY_FLOOR = 1e-300
 
 def model_coefficients(model: ParametricModel, K: int) -> SpectralCoefficients:
     """Coefficients a/k^p for k <= K, with the exact power tail declared."""
-    if K < 1:
+    if _as_int(K, "harmonic count K") < 1:
         raise ValueError("need at least one harmonic")
     k = np.arange(1, K + 1, dtype=float)
     return SpectralCoefficients(
@@ -76,7 +77,7 @@ def _observe(path: GridPath, K: int):
     """dft.analyze(path) and its T_k, k <= K, shared by a fit and its check.  Until the next
     path, the one entry holds this path, h and T: ~2n + K floats, 18.0 MiB at n = 2^20."""
     h = dft.analyze(path)
-    dft.check_harmonics(K, h.n)
+    K = dft.check_harmonics(K, h.n)
     with np.errstate(over="ignore"):
         T = h.sin_coef[:K] ** 2 + h.cos_coef[:K] ** 2
     if not np.all(np.isfinite(T)):
@@ -174,7 +175,7 @@ def fit_mle(path: GridPath, K: int | None = None,
     is reported with the "boundary" convergence flag, not an error; single
     tones push p to the upper bound this way.
     """
-    K = path.n // 4 if K is None else K
+    K = _as_int(path.n // 4 if K is None else K, "harmonic count K")
     if K < 4:
         raise ValueError("need at least 4 harmonics to identify (a, p)")
     lo, hi = float(p_bounds[0]), float(p_bounds[1])

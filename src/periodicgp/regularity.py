@@ -20,6 +20,7 @@ from .core import (
     PathEnsemble,
     RegularityReport,
     SpectralCoefficients,
+    _as_int,
 )
 from .synthesis import LagEstimate, lag_array, replicate_lag_products, replicate_mean
 
@@ -57,7 +58,7 @@ def fit_decay(c: SpectralCoefficients, k_min: int = 1, k_max: int | None = None)
     """Least-squares power law c_k^2 ~ constant * k^-q over log-log axes."""
     if k_max is None:
         k_max = c.support
-    if not (1 <= k_min < k_max <= c.support):
+    if not (1 <= _as_int(k_min, "k_min") < _as_int(k_max, "k_max") <= c.support):
         raise ValueError("need 1 <= k_min < k_max <= support")
     if k_max - k_min + 1 < 4:
         raise ValueError("need at least 4 coefficients in the fit window")

@@ -49,7 +49,7 @@ def covariogram_to_coeffs(g: Covariogram, K: int) -> SpectralCoefficients:
         covariance function.  tol scales with the table, as rounding does, so
         neither the decision nor the coefficients depend on its units.
     """
-    dft.check_harmonics(K, g.n)
+    K = dft.check_harmonics(K, g.n)
     mass = np.fft.rfft(g.values).real / g.n  # k = 0..n/2
     tol = max(1e-9 * float(mass[0]), 1e-12 * abs(float(g.values[0])))
     worst = float(np.min(mass))
@@ -76,8 +76,7 @@ def coeffs_to_covariogram(c: SpectralCoefficients, n: int) -> Covariogram:
     the truncated one.  Support must stay below n/2.
     """
     check_grid(n)
-    K = c.support
-    dft.check_harmonics(K, n)
+    K = dft.check_harmonics(c.support, n)
     spec = np.zeros(n // 2 + 1)
     spec[0] = c.c0 ** 2
     spec[1:K + 1] = np.square(c.c)
@@ -108,7 +107,7 @@ def empirical_coeffs(e: PathEnsemble, K: int) -> CoefficientEstimate:
     Standard errors are jackknife ones, which for a plain mean reduce to
     std / sqrt(R).
     """
-    dft.check_harmonics(K, e.n)
+    K = dft.check_harmonics(K, e.n)
     n = e.n
     with np.errstate(over="ignore"):
         F = np.fft.rfft(e.values, axis=1)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .core import (
     GridPath,
     PathEnsemble,
     SpectralCoefficients,
+    _as_int,
     check_grid,
 )
 
@@ -41,16 +41,6 @@ SQRT2 = math.sqrt(2.0)
 # grid values per batched transform: enough rows to amortize per-call
 # overhead, few enough that a chunk's temporaries stay at a few MB
 ROW_BUDGET = 2 ** 19
-
-
-def _as_int(value, what: str) -> int:
-    """value as a plain int: integer scalars such as np.uint64 convert, floats and bools fail."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -180,8 +170,7 @@ def _series_rows(c: SpectralCoefficients, K: int, n: int, gens, out=None) -> np.
     and one inverse transform runs over the rows, so no row sees its neighbours.
     """
     check_grid(n)
-    K = _as_int(K, "harmonic count K")
-    dft.check_harmonics(K, n)
+    K = dft.check_harmonics(K, n)
     F = np.zeros((len(gens), n // 2 + 1), dtype=complex)
     flat = F.view(float)
     for i, gen in enumerate(gens):

@@ -17,7 +17,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from periodicgp import bridge, core, dft, fit, spectral, synthesis
+from periodicgp import bridge, core, dft, fit, regularity, spectral, synthesis
 from periodicgp.core import (
     AliasingError,
     Covariogram,
@@ -209,6 +209,39 @@ class TestScipyUfuncs:
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert got[0] is sys.modules["scipy.special"] and hasattr(got[0], "expm1")
+
+    def test_another_threads_from_import_gets_the_package_name(self, without_scipy_special,
+                                                               monkeypatch):
+        # `from scipy.special import expm1` takes the stub out of sys.modules before it waits
+        # on the import lock, then reads expm1 off that stub: the stub forwards to the package
+        import_module = importlib.import_module
+        got, stubs = [], []
+
+        def take_expm1():
+            try:
+                from scipy.special import expm1
+                got.append(expm1)
+            except ImportError as exc:
+                got.append(exc)
+
+        thread = threading.Thread(target=take_expm1)
+
+        def racing(name):
+            if name == "scipy.special._ufuncs":
+                stubs.append(sys.modules["scipy.special"])
+                thread.start()
+                time.sleep(0.3)
+                assert thread.is_alive()  # waiting for the lock
+            return import_module(name)
+
+        monkeypatch.setattr(importlib, "import_module", racing)
+        u = core._scipy_ufuncs()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        special = sys.modules["scipy.special"]
+        assert got == [special.expm1] and special.expm1 is u.expm1
+        # once out of sys.modules, the stub forwards in this thread too
+        assert stubs[0] is not special and stubs[0].expm1 is special.expm1
 
     def test_a_failed_stub_import_falls_back_to_the_package(self, without_scipy_special,
                                                             monkeypatch):
@@ -432,6 +465,26 @@ LIBRARY_REFUSALS = {
     "bridge_path-M-True": (
         lambda: bridge.bridge_path("centered_series", 64, True, RngStream(1)), ValueError,
         "sine truncation M must be an integer, got True"),
+    # every other count is an integer too: dft.check_harmonics or core._as_int refuses it
+    **{f"fit_mle-K-{K!r}": (
+        lambda K=K: fit.fit_mle(GridPath(64, np.cos(np.arange(64.0))), K=K), ValueError,
+        f"harmonic count K must be an integer, got {K!r}") for K in (8.5, "8")},
+    "covariogram_to_coeffs-K-2.5": (
+        lambda: spectral.covariogram_to_coeffs(bridge.centered_bridge_covariogram(16), 2.5),
+        ValueError, "harmonic count K must be an integer, got 2.5"),
+    "empirical_coeffs-K-2.5": (lambda: spectral.empirical_coeffs(_small_ensemble(), 2.5),
+                               ValueError, "harmonic count K must be an integer, got 2.5"),
+    "materialize-K-2.5": (lambda: _series().materialize(2.5), ValueError,
+                          "harmonic count K must be an integer, got 2.5"),
+    "fit_decay-k_min-1.5": (lambda: regularity.fit_decay(_series(), 1.5, 8), ValueError,
+                            "k_min must be an integer, got 1.5"),
+    "proof_identity-k-1.5": (lambda: bridge.proof_identity(1.5, 10), ValueError,
+                             "harmonic index k must be an integer, got 1.5"),
+    "proof_identity-terms-2.5": (lambda: bridge.proof_identity(1, 2.5), ValueError,
+                                 "term count must be an integer, got 2.5"),
+    "model_coefficients-K-2.5": (
+        lambda: fit.model_coefficients(ParametricModel(1.0, 1.5), 2.5), ValueError,
+        "harmonic count K must be an integer, got 2.5"),
 }
 
 

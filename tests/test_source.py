@@ -134,3 +134,15 @@ def test_only_the_ufunc_helper_imports_scipy_special():
                and getattr(node.func, "attr", None) in ("import_module", "__import__")
                and [getattr(arg, "value", None) for arg in node.args[:1]] == ["scipy.special"]]
     assert package and all(id(node) in fallback for node in package)
+
+
+def test_operator_index_is_called_only_in_the_one_integer_rule():
+    # core._as_int is the integer rule for every count, seed and lag (dft.check_harmonics
+    # calls it for K): an operator.index anywhere else would be a second rule
+    rule = next(fn for fn in MODULES["core.py"].body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_as_int")
+    inside = {id(node) for node in ast.walk(rule)}
+    calls = [(name, id(node) in inside) for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "operator.index"]
+    assert calls == [("core.py", True)]
