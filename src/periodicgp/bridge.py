@@ -35,6 +35,7 @@ from .synthesis import (
     SQRT2,
     RngStream,
     _ensemble,
+    _fill_ranges,
     _path,
     _series_rows,
     replicate_lag_products,
@@ -86,7 +87,7 @@ def resolve_truncation(variant: str, n: int, M: int | None = None) -> int:
 def _sine_rows(variant: str, n: int, M: int | None, gens, out=None) -> np.ndarray:
     """Bridge rows of the variant on j/n, one per generator: centered_series truncates the
     series of centered_bridge_coefficients at M harmonics, the other variants are sine series
-    through one transform, each generator drawing the centered_shift offset first, then its
+    through inverse transforms, each generator drawing the centered_shift offset first, then its
     W block.  sin(pi k j / n) is an integer-frequency sine on the doubled grid 2n: Im F_k of
     its half spectrum is -n sqrt2 W_k / (k pi).  Into out (or new rows), centered_shift
     rotates them by their offsets, centralized subtracts row means."""
@@ -96,24 +97,29 @@ def _sine_rows(variant: str, n: int, M: int | None, gens, out=None) -> np.ndarra
         return _series_rows(centered_bridge_coefficients(), M, n, gens, out)
     if M < 0 or M >= n:
         raise ValueError("sine truncation must satisfy 0 <= M < n")
-    shifts = np.zeros(len(gens), dtype=int)
     w = np.empty((len(gens), M))
-    for i, gen in enumerate(gens):
-        if variant == "centered_shift":
-            shifts[i] = gen.integers(n)
-        gen.standard_normal(out=w[i])
     F = np.zeros((len(gens), n + 1), dtype=complex)
-    F.imag[:, 1:M + 1] = -n * (SQRT2 * w / (np.arange(1, M + 1) * np.pi))
-    values = np.fft.irfft(F, 2 * n, axis=1)[:, :n]
-    values[:, 0] = 0.0  # sin(0) = 0; pin the fixed end against transform rounding
-    out = np.empty_like(values) if out is None else out
-    if variant == "centered_shift":
-        for row, x, s in zip(out, values, shifts):
-            row[s:], row[:s] = x[:n - s], x[n - s:]
-    elif variant == "centralized":
-        np.subtract(values, values.mean(axis=1, keepdims=True), out=out)
-    else:
-        out[:] = values
+    doubled = np.empty((len(gens), 2 * n))
+    out = np.empty((len(gens), n)) if out is None else out
+
+    def fill(lo, hi):  # streams are independent: all offsets of the range first, then all W
+        shifts = [gens[i].integers(n) for i in range(lo, hi) if variant == "centered_shift"]
+        for i in range(lo, hi):
+            gens[i].standard_normal(out=w[i])
+        amp = np.multiply(SQRT2, w[lo:hi], out=w[lo:hi])  # -n sqrt2 W_k / (k pi), in order
+        amp /= np.arange(1, M + 1) * np.pi
+        np.multiply(amp, -n, out=F.imag[lo:hi, 1:M + 1])
+        values = np.fft.irfft(F[lo:hi], 2 * n, axis=1, out=doubled[lo:hi])[:, :n]
+        values[:, 0] = 0.0  # sin(0) = 0; pin the fixed end against transform rounding
+        if variant == "centered_shift":
+            for row, x, s in zip(out[lo:hi], values, shifts):
+                row[s:], row[:s] = x[:n - s], x[n - s:]
+        elif variant == "centralized":
+            np.subtract(values, values.mean(axis=1, keepdims=True), out=out[lo:hi])
+        else:
+            out[lo:hi] = values
+
+    _fill_ranges(len(gens), fill)
     return out
 
 

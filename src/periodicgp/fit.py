@@ -72,7 +72,7 @@ def model_coefficients(model: ParametricModel, K: int) -> SpectralCoefficients:
     )
 
 
-@functools.lru_cache(maxsize=1)  # safe: a GridPath is read-only, hashes by identity, is held here
+@functools.lru_cache(maxsize=1, typed=True)  # safe: a GridPath is read-only, held, hashed by id
 def _observe(path: GridPath, K: int):
     """dft.analyze(path) and its T_k, k <= K, shared by a fit and its check.  Until the next
     path, the one entry holds this path, h and T: ~2n + K floats, 18.0 MiB at n = 2^20."""

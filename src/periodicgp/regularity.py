@@ -56,8 +56,7 @@ class DecayFit(NamedTuple):
 
 def fit_decay(c: SpectralCoefficients, k_min: int = 1, k_max: int | None = None) -> DecayFit:
     """Least-squares power law c_k^2 ~ constant * k^-q over log-log axes."""
-    if k_max is None:
-        k_max = c.support
+    k_max = c.support if k_max is None else k_max
     if not (1 <= _as_int(k_min, "k_min") < _as_int(k_max, "k_max") <= c.support):
         raise ValueError("need 1 <= k_min < k_max <= support")
     if k_max - k_min + 1 < 4:
@@ -98,12 +97,7 @@ class HolderEstimate:
 
 def dyadic_window(n: int) -> tuple:
     """Dyadic lags 2^j with 1/n <= 2^j/n <= 1/8, the estimation window."""
-    lags = []
-    d = 1
-    while d * 8 <= n:
-        lags.append(d)
-        d *= 2
-    return tuple(lags)
+    return tuple(2 ** j for j in range(int(n).bit_length() - 3))
 
 
 def estimate_holder(e: PathEnsemble) -> HolderEstimate:
@@ -120,8 +114,7 @@ def estimate_holder(e: PathEnsemble) -> HolderEstimate:
     sf = structure_function(e, window)
     if np.any(sf.value <= 0.0):
         raise DegenerateDataError("nonpositive structure function in window")
-    x = np.log(sf.delta)
-    y = np.log(sf.value)
+    x, y = np.log(sf.delta), np.log(sf.value)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     dof = max(x.size - 2, 1)

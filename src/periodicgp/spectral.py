@@ -80,8 +80,7 @@ def coeffs_to_covariogram(c: SpectralCoefficients, n: int) -> Covariogram:
     spec = np.zeros(n // 2 + 1)
     spec[0] = c.c0 ** 2
     spec[1:K + 1] = np.square(c.c)
-    F = n * spec.astype(complex)
-    values = np.fft.irfft(F, n)
+    values = np.fft.irfft(n * spec.astype(complex), n)
     # grid symmetry can be off by one rounding step; restore it exactly
     values = (values + np.concatenate(([values[0]], values[:0:-1]))) / 2.0
     return Covariogram(values)

@@ -9,20 +9,23 @@ A path consumes one block of 1 + 2K standard normals laid out as
 
     Y'0, Y_1, Y'_1, Y_2, Y'_2, ...
 
-so that two runs with the same stream but different truncations share the
-draws of every common harmonic.  The block is drawn straight into the float
-view of the half spectrum F, from Im F_0 on (Y_k, Y'_k land in Re F_k, Im F_k),
-and scaled there in place; each chunk's inverse transform writes its rows of the
-ensemble's one array, which is then wrapped read-only without a copy.  Replicate r
-of an ensemble always uses stream r; adding replicates never disturbs earlier ones,
-and the chunk size bounds memory and never changes a sample.
+so that two runs with the same stream but different truncations share the draws of every
+common harmonic.  The block is drawn straight into the float view of the half spectrum F,
+from Im F_0 on (Y_k, Y'_k land in Re F_k, Im F_k), scaled there in place and inverse
+transformed into the ensemble's one array, then wrapped read-only without a copy.  Replicate
+r always uses stream r, so adding replicates never disturbs earlier ones.  The chunk size
+bounds memory; row ranges on up to one thread per usable CPU (no option sets the count) fill
+disjoint rows of buffers allocated before the split.  Neither changes a byte.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,8 @@ SQRT2 = math.sqrt(2.0)
 # grid values per batched transform: enough rows to amortize per-call
 # overhead, few enough that a chunk's temporaries stay at a few MB
 ROW_BUDGET = 2 ** 19
+# fewest rows per thread: shorter ranges trade the GIL between many short draws and lose
+MIN_RANGE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,34 @@ def generators(master_seed: int, stream_ids) -> list:
     return [RngStream(master_seed, r).generator() for r in stream_ids]
 
 
+def _fill_ranges(rows: int, fill) -> None:
+    """fill(lo, hi) over contiguous row ranges, one per usable CPU but none under MIN_RANGE_ROWS
+    unless alone: the last here, each other in a thread under a copy of this context (numpy's
+    errstate too).  All end before the first error, in range order, is raised.  fill calls
+    only numpy: a tracer keeps one stack of spans."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    k = max(1, min(cpus or 1, rows // MIN_RANGE_ROWS))
+    edges, errors, threads = [rows * i // k for i in range(k + 1)], [None] * k, []
+
+    def run(i):
+        try:
+            fill(edges[i], edges[i + 1])
+        except BaseException as exc:
+            errors[i] = exc
+
+    try:
+        for i in range(k - 1):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+            thread.start()
+            threads.append(thread)
+        run(k - 1)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in filter(None, errors):
+        raise exc
+
+
 def truncation_index(c: SpectralCoefficients, eps: float) -> int:
     """Smallest K whose tail energy 2 sum_{k>K} c_k^2 is <= eps of the total mass.
 
@@ -166,18 +199,24 @@ def truncation_index(c: SpectralCoefficients, eps: float) -> int:
 def _series_rows(c: SpectralCoefficients, K: int, n: int, gens, out=None) -> np.ndarray:
     """Rows of the series truncated at harmonic K on j/n, one per generator, in out if given.
 
-    Each generator draws its own 1 + 2K block into its row of the half spectrum,
-    and one inverse transform runs over the rows, so no row sees its neighbours.
+    Each generator draws its own 1 + 2K block into its row of the half spectrum, and
+    each range of rows is transformed on its own, so no row sees its neighbours.
     """
     check_grid(n)
     K = dft.check_harmonics(K, n)
     F = np.zeros((len(gens), n // 2 + 1), dtype=complex)
-    flat = F.view(float)
-    for i, gen in enumerate(gens):
-        gen.standard_normal(out=flat[i, 1:2 + 2 * K])
-    F[:, 0] = n * (c.c0 * F[:, 0].imag)
-    F[:, 1:K + 1] *= -0.5j * n * (SQRT2 * c.materialize(K))  # n (c_k Y'_k - i c_k Y_k) / sqrt2
-    return np.fft.irfft(F, n, axis=1, out=out)
+    out = np.empty((len(gens), n)) if out is None else out
+    scale = -0.5j * n * (SQRT2 * c.materialize(K))  # n (c_k Y'_k - i c_k Y_k) / sqrt2
+
+    def fill(lo, hi):
+        for i in range(lo, hi):  # row by row: a 2-D product would allocate ufunc buffers
+            gens[i].standard_normal(out=F.view(float)[i, 1:2 + 2 * K])
+            F[i, 1:K + 1] *= scale
+        F[lo:hi, 0] = n * (c.c0 * F[lo:hi, 0].imag)
+        np.fft.irfft(F[lo:hi], n, axis=1, out=out[lo:hi])
+
+    _fill_ranges(len(gens), fill)
+    return out
 
 
 def _path(rows, n: int, rng: RngStream) -> GridPath:
@@ -234,11 +273,14 @@ def replicate_lag_products(values: np.ndarray, lags) -> np.ndarray:
     R, n = v.shape
     d = lag_array(lags, 0, n - 1)
     out = np.empty((R, d.size))
-    # plain einsum, not @ or np.dot: BLAS would order the sums by its build and threads
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def fill(lo, hi):  # plain einsum, not @ or np.dot: BLAS orders sums by build and threads
         for i, lag in enumerate(d.tolist()):
-            out[:, i] = (np.einsum("ij,ij->i", v[:, :n - lag], v[:, lag:])
-                         + np.einsum("ij,ij->i", v[:, n - lag:], v[:, :lag])) / n
+            out[lo:hi, i] = (np.einsum("ij,ij->i", v[lo:hi, :n - lag], v[lo:hi, lag:])
+                             + np.einsum("ij,ij->i", v[lo:hi, n - lag:], v[lo:hi, :lag])) / n
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fill_ranges(R, fill)
     if not np.all(np.isfinite(out)):
         raise ValueError("lag products overflow: a sum of x_j x_{j+d} exceeds the float range")
     return out

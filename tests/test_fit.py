@@ -354,6 +354,15 @@ class TestSharedAnalysis:
         gc.collect()
         assert last() is None
 
+    def test_a_float_count_is_refused_whether_or_not_the_memo_holds_its_int(self):
+        # the memo is typed: K_used = 16.0 does not find the entry fit_mle left for 16
+        path = self._path(3)
+        forged = dataclasses.replace(fit_mle(path, K=16), K_used=16.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="harmonic count K must be an integer, got 16.0"):
+                goodness_of_fit(path, forged)
+            fit._observe.cache_clear()
+
 
 def _around(d):
     return [np.nextafter(d, 0.0), d, np.nextafter(d, 1.0), d * (1 - 1e-6), d * (1 + 1e-6)]

@@ -146,3 +146,20 @@ def test_operator_index_is_called_only_in_the_one_integer_rule():
              for node in ast.walk(tree)
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "operator.index"]
     assert calls == [("core.py", True)]
+
+
+def test_only_synthesis_starts_threads():
+    # synthesis._fill_ranges is the one place that runs work on other threads
+    thread_modules = {"threading", "queue", "_thread", "concurrent"}
+    importers = set()
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            if roots & thread_modules:
+                importers.add(name)
+    assert importers == {"synthesis.py"}

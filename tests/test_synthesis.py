@@ -2,6 +2,11 @@
 
 import hashlib
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -605,3 +610,149 @@ class TestInPlaceEnsembles:
             PathEnsemble._adopt(8, np.zeros((2, 4)))
         with pytest.raises(ValueError, match="grid size"):
             GridPath._adopt(6, np.zeros(6))
+
+
+def _force_cpus(monkeypatch, count: int) -> None:
+    """Make synthesis._fill_ranges see count usable CPUs, on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class _Draws:
+    """A stand-in generator: standard_normal pauses, then fills ones or raises."""
+
+    def __init__(self, pause: float = 0.0, error: Exception | None = None):
+        self.pause, self.error, self.done = pause, error, False
+
+    def standard_normal(self, out):
+        time.sleep(self.pause)
+        if self.error is not None:
+            raise self.error
+        out[:] = 1.0
+        self.done = True
+
+
+CPU_COUNTS = (1, 2, 3, 7)
+
+
+class TestRowRanges:
+    """Samplers and lag products split their rows over threads without moving a byte."""
+
+    COEFFS = fit.model_coefficients(ParametricModel(1.0, 1.1), 2047)
+
+    def _per_count(self, monkeypatch, call) -> list:
+        """call() at each forced CPU count, with threads switched every microsecond."""
+        out, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in CPU_COUNTS:
+                _force_cpus(monkeypatch, count)
+                out.append(call())
+        finally:
+            sys.setswitchinterval(interval)
+        return out
+
+    @pytest.mark.parametrize("rows", [0, 1, 31, 64, 100, 300])
+    @pytest.mark.parametrize("count", CPU_COUNTS)
+    def test_ranges_cover_the_rows_and_the_last_runs_here(self, monkeypatch, rows, count):
+        _force_cpus(monkeypatch, count)
+        seen, lock = [], threading.Lock()
+
+        def fill(lo, hi):
+            with lock:
+                seen.append((lo, hi, threading.current_thread()))  # held: no reuse
+
+        synthesis._fill_ranges(rows, fill)
+        seen.sort()
+        k = max(1, min(count, rows // synthesis.MIN_RANGE_ROWS))
+        assert [lo for lo, _, _ in seen] == [rows * i // k for i in range(k)]
+        assert [hi for _, hi, _ in seen] == [rows * (i + 1) // k for i in range(k)]
+        assert all(hi - lo >= synthesis.MIN_RANGE_ROWS for lo, hi, _ in seen) or k == 1
+        threads = [thread for _, _, thread in seen]
+        assert threads[-1] is threading.current_thread()
+        assert len(set(map(id, threads))) == k
+
+    @pytest.mark.parametrize("R", [1, synthesis.MIN_RANGE_ROWS - 1, 77, 300])
+    def test_sample_ensemble_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch, R):
+        # 300 rows span three chunks of 128 at n = 4096
+        got = self._per_count(monkeypatch,
+                              lambda: sample_ensemble(self.COEFFS, 2047, 4096, R, 8).values)
+        for values in got[1:]:
+            assert np.array_equal(values, got[0])
+
+    @pytest.mark.parametrize("M", [16, None])
+    @pytest.mark.parametrize("variant", bridge.VARIANTS)
+    def test_bridge_ensemble_bytes_do_not_depend_on_the_cpu_count(self, monkeypatch,
+                                                                   variant, M):
+        # 300 rows span two chunks of 256 at n = 1024
+        got = self._per_count(monkeypatch,
+                              lambda: bridge.bridge_ensemble(variant, 300, 1024, 9, M=M).values)
+        for values in got[1:]:
+            assert np.array_equal(values, got[0]), variant
+
+    def test_lag_products_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        e = sample_ensemble(self.COEFFS, 2047, 4096, 250, 10)
+        lags = [0, 1, 2, 3, 5, 8, 64, 2048, 4095]
+        got = self._per_count(monkeypatch, lambda: (
+            replicate_lag_products(e.values, lags),
+            regularity.structure_function(e, regularity.dyadic_window(4096))))
+        for products, sf in got[1:]:
+            assert np.array_equal(products, got[0][0])
+            assert np.array_equal(sf.value, got[0][1].value)
+            assert np.array_equal(sf.stderr, got[0][1].stderr)
+
+    def test_an_error_in_the_worker_range_reaches_the_caller(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+        rows = 2 * synthesis.MIN_RANGE_ROWS  # rows 0..31 go to the other thread
+        gens = [_Draws(error=RuntimeError("draw failed") if i == 0 else None)
+                for i in range(rows)]
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            synthesis._series_rows(self.COEFFS, 7, 64, gens)
+        assert threading.active_count() == before
+        assert all(gen.done for gen in gens[synthesis.MIN_RANGE_ROWS:])
+
+    def test_the_caller_waits_for_every_range_before_raising(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+        half = synthesis.MIN_RANGE_ROWS
+        gens = [_Draws(pause=0.005) for _ in range(half)]
+        gens += [_Draws(error=RuntimeError("caller's range failed"))] * half
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller's range failed"):
+            bridge._sine_rows("plain", 64, 8, gens)
+        assert all(gen.done for gen in gens[:half])  # the worker's rows were all drawn
+        assert threading.active_count() == before
+
+    def test_overflow_in_the_worker_range_raises_no_warning(self, monkeypatch):
+        # numpy's errstate is a context variable: the worker runs under the caller's.  Row 0,
+        # in the other thread's range, has lag-1 products of +inf inside the wrap and -inf
+        # across it, whose sum is an invalid NaN
+        _force_cpus(monkeypatch, 2)
+        values = np.ones((2 * synthesis.MIN_RANGE_ROWS, 16))
+        values[0] = 0.0
+        values[0, [0, 1, 15]] = 1e200, 1e200, -1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="lag products overflow"):
+                replicate_lag_products(values, [0, 1])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="os.fork on Linux only")
+    def test_a_forked_child_splits_its_rows(self, monkeypatch):
+        _force_cpus(monkeypatch, 2)
+        coeffs = fit.model_coefficients(ParametricModel(1.0, 1.5), 127)
+        want = sample_ensemble(coeffs, 127, 256, 600, 3).values  # a split in the parent
+        pid = os.fork()
+        if pid == 0:  # the child never returns into pytest
+            code = 1
+            try:
+                code = int(not np.array_equal(sample_ensemble(coeffs, 127, 256, 600, 3).values,
+                                              want))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish within 30 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
