@@ -235,8 +235,8 @@ GOLDEN_DIGESTS = {
     "coef.csv": "c68ac3c55bb28e9d1685100fca5354c5d007be91723b767904bd1f77c41c3b90",
     "coef.meta.json": "7e5ed086ccaaa3850c71dbf798df360434715fe8ce4db535b31729a039a066c6",
     "cout.json": "af8d3d5d0a7ae7cf79e1f643c114537f67e5676e5ef31fbdc87802d16b053830",
-    "fit.json": "1e69c944393bcb277690d869d6a00481a584315cd8f876163cf3f413e077acd5",
-    "fit.residuals.csv": "289251f8a408532c7c15ad5ebeef02782a2dacc3807aada253fc5c2b65436daa",
+    "fit.json": "2788d84d83044752b032383f453d4415f40dfeba6266a115cba587d7b8de61cd",
+    "fit.residuals.csv": "f18364613440ae5d0965a4d5bf03f68629bddbb25f36b42c745f0eedc8bfe700",
     "gout.csv": "ede3e3fdffa484682110573986c3ab975f4f06088d8d7a4e8a4e9c62ea736d24",
     "gout.csv.check.json": "6b0ffea04504adbf1cfdac6709b897398d54cbb585556c87e5644967c68b760d",
     "reg.json": "137dd1b2d801890be634ce1a777b8554779341227bb8ab94fbbb8a7f81aedcbe",

@@ -105,6 +105,7 @@ class TestFitMle:
         res = fit_mle(GridPath(1024, np.sin(2 * np.pi * t)), K=8)
         assert res.p_hat == pytest.approx(6.0)
         assert res.convergence.flag == "boundary"
+        assert res.p_stderr is None and res.p_bounds == (0.55, 6.0)
 
     def test_top_tone_pins_at_lower_bound(self):
         # all energy at k = K: g' > 0 at the lower bound, one evaluation decides
@@ -143,17 +144,35 @@ class TestFitMle:
         assert wide.p_hat == pytest.approx(fit_mle(path, K=256).p_hat, abs=1e-10)
         assert wide.convergence.flag == "interior"
 
-    def test_huge_upper_bound_is_refused_not_reported(self):
-        # the solve stops at its evaluation cap with p_hat ~ 1.6e10, where
-        # a^2(p) overflows; 1e30 stops at the cap too but stays finite
+    @pytest.mark.parametrize("hi", [1e30, 1e40, 1e300])
+    def test_pure_tone_under_a_huge_upper_bound_converges(self, hi, pinned_platform):
+        # rounding-level harmonics beside the tone put the root of g' at 13.85; the start
+        # at their log-periodogram slope (8.1) takes the solve there whatever the bound
         t = np.arange(64) / 64
-        tone = GridPath(64, np.sin(2 * np.pi * t))
-        for hi in (1e40, 1e300):
-            with pytest.raises(ValueError, match="p bounds"):
-                fit_mle(tone, p_bounds=(0.55, hi))
-        res = fit_mle(tone, p_bounds=(0.55, 1e30))
-        assert not res.convergence.converged
+        res = fit_mle(GridPath(64, np.sin(2 * np.pi * t)), p_bounds=(0.55, hi))
+        assert res.convergence.converged and res.convergence.flag == "interior"
+        assert res.p_hat == pytest.approx(13.8533, abs=1e-4), pinned_platform
+        assert res.convergence.iterations == 46, pinned_platform
         assert math.isfinite(res.a_hat) and math.isfinite(res.neg_log_likelihood)
+
+    def test_evaluation_cap_and_both_refusal_hints(self, monkeypatch):
+        tone = GridPath(64, np.sin(2 * np.pi * np.arange(64) / 64))
+        # two evaluations: the start and the upper bound; the cap stops the solve at the
+        # start, where the amplitude and likelihood are finite, so it is reported
+        monkeypatch.setattr(fit, "_MAX_SLOPE_EVALUATIONS", 2)
+        res = fit_mle(tone, p_bounds=(0.55, 1e30))
+        assert not res.convergence.converged and res.convergence.iterations == 2
+        assert math.isfinite(res.a_hat) and math.isfinite(res.neg_log_likelihood)
+        # three: the first Newton step lands at p ~ 3e12, where a^2(p) overflows, but
+        # not at p-min, so narrower bounds can help
+        monkeypatch.setattr(fit, "_MAX_SLOPE_EVALUATIONS", 3)
+        for hi in (1e30, 1e300):
+            with pytest.raises(ValueError, match="narrow the p bounds"):
+                fit_mle(tone, p_bounds=(0.55, hi))
+        # a path of 1e154s overflows a^2(p) even at p-min
+        huge = GridPath(64, np.random.default_rng(5).standard_normal(64) * 1e154)
+        with pytest.raises(ValueError, match="rescale the path"):
+            fit_mle(huge, p_bounds=(0.55, 1e30))
 
     def test_constant_path_is_degenerate(self):
         with pytest.raises(DegenerateDataError, match="degenerate observation"):
@@ -208,6 +227,106 @@ class TestFitMle:
             ]
             spreads.append(np.std(p_hats, ddof=1))
         assert spreads[0] > spreads[1] > spreads[2]
+
+
+@pytest.fixture(scope="module")
+def criterion_8():
+    """(T, fit) of criterion 8's 200 paths: p = 1.5, n = 1024, K = 256, seeds 0 to 199."""
+    m = model_coefficients(ParametricModel(1.0, 1.5), 511)
+    fits = []
+    for seed in range(200):
+        path = synthesis.sample_path(m, 511, 1024, synthesis.RngStream(seed, 0))
+        result = fit_mle(path, K=256)
+        fits.append((fit._observe(path, 256)[1], result))
+    return fits
+
+
+def _bisected_root(T, lo, hi):
+    """The same g' bisected down to adjacent floats (a, b), or (bound, bound) at a bound."""
+    slope = fit._slope(T)[0]
+    if slope(lo)[0] >= 0.0:
+        return lo, lo
+    if slope(hi)[0] <= 0.0:
+        return hi, hi
+    a, b = lo, hi
+    while a < 0.5 * (a + b) < b:
+        m = 0.5 * (a + b)
+        a, b = (m, b) if slope(m)[0] < 0.0 else (a, m)
+    return a, b
+
+
+_k16 = np.arange(1.0, 17.0)
+# synthetic energy vectors T_k, k <= 16, and where g' sends the solve on (0.55, 6)
+_ENERGIES = {
+    "top-tone": (np.r_[np.zeros(15), 1.0], "lo"),
+    "top-tone-rounding": (np.r_[np.full(15, 1e-33), 1.0], "lo"),
+    "pure-tone": (np.r_[1.0, np.zeros(15)], "hi"),
+    "pure-tone-rounding": (np.r_[1.0, np.full(15, 1e-33)], "hi"),
+    "zero-energies": (np.where(_k16 % 2, _k16 ** -3.0, 0.0), "interior"),
+    "zero-energies-steep": (np.where(_k16 % 2, _k16 ** -20.0, 0.0), "hi"),
+    "below-1e-300": (1e-305 * _k16 ** -3.0, "interior"),
+    "power-law": (_k16 ** -3.0, "interior"),
+    "flat": (np.ones(16), "lo"),
+}
+
+
+class TestSolve:
+    """_minimize from the log-periodogram start, against g' itself."""
+
+    def test_criterion_8_p_hat_is_the_bisected_root(self, criterion_8):
+        # worst case over the 200 paths: 4 ULP from the adjacent floats where g' changes sign
+        for T, result in criterion_8:
+            a, b = _bisected_root(T, 0.55, 6.0)
+            assert max(a - result.p_hat, result.p_hat - b, 0.0) <= 4 * np.spacing(a)
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_fits_models_p_hat_is_the_bisected_root(self, i):
+        path = TestSharedAnalysis._path(i)  # p = 0.75, 1.5, 3 and 7, and the plain bridge
+        result = fit_mle(path, K=256)
+        a, b = _bisected_root(fit._observe(path, 256)[1], 0.55, 6.0)
+        assert max(a - result.p_hat, result.p_hat - b, 0.0) <= 4 * np.spacing(a)
+        assert (result.convergence.flag == "boundary") == (a == b)
+
+    @pytest.mark.parametrize("start", ["slope", "lo", "hi", "below", "above", "nan"])
+    @pytest.mark.parametrize("name", sorted(_ENERGIES))
+    def test_flag_is_the_sign_of_g_prime_at_the_bounds(self, name, start):
+        T, want = _ENERGIES[name]
+        lo, hi = 0.55, 6.0
+        slope, p0 = fit._slope(T)
+        p0 = {"slope": p0, "lo": lo, "hi": hi, "below": 0.0, "above": 50.0,
+              "nan": math.nan}[start]
+        p, evaluations, (a, b), converged, curvature = fit._minimize(slope, p0, lo, hi)
+        past_lo, past_hi = slope(lo)[0] >= 0.0, slope(hi)[0] <= 0.0
+        assert want == ("lo" if past_lo else "hi" if past_hi else "interior")
+        assert converged and a <= p <= b
+        if want == "interior":
+            assert lo < p < hi and lo <= a < b <= hi and curvature > 0.0
+        else:
+            assert p == {"lo": lo, "hi": hi}[want] and (a, b) == (lo, hi) and curvature is None
+            # a start at the bound g' points past decides in one evaluation, else two
+            start_at_it = min(max(p0, lo), hi) == p if math.isfinite(p0) else False
+            assert evaluations == (1 if start_at_it else 2)
+
+    def test_start_is_the_log_periodogram_slope(self):
+        # exact power laws: log T_k on log k is a line of slope -2p
+        for p in (0.6, 1.5, 4.0):
+            assert fit._slope(3.0 * _k16 ** (-2.0 * p))[1] == pytest.approx(p, rel=1e-12)
+        # zero energies stay out of the regression; one harmonic left gives no slope, and
+        # the solve starts at the midpoint
+        assert fit._slope(_ENERGIES["zero-energies"][0])[1] == pytest.approx(1.5, rel=1e-12)
+        assert math.isnan(fit._slope(_ENERGIES["pure-tone"][0])[1])
+
+    def test_evaluation_count(self, criterion_8):
+        # 5.35 on average and at most 6 here; the midpoint start took 10.1, at most 11
+        counts = [result.convergence.iterations for _, result in criterion_8
+                  if result.convergence.flag == "interior"]
+        assert len(counts) == 200
+        assert np.mean(counts) <= 6.0 and max(counts) <= 8
+
+    def test_p_stderr_interval_coverage(self, criterion_8):
+        # +-1.96 p_stderr covers p = 1.5 in 95% +- 3 binomial SE of the 200 fits (185 here)
+        covered = [abs(result.p_hat - 1.5) <= 1.96 * result.p_stderr for _, result in criterion_8]
+        assert 0.904 <= np.mean(covered) <= 0.996
 
 
 class TestGoodnessOfFit:
@@ -299,7 +418,7 @@ class TestSymmetries:
 # sha256 over a_hat, p_hat, neg_log_likelihood, iterations and the GoodnessReport floats of
 # 40 paths at n = 1024, K = 256, cycling through the fits benchmark's models (p = 0.75, 1.5,
 # 3, 7 and the plain bridge); pinned on conftest.PINNED_PLATFORM
-LIBRARY_FIT_DIGEST = "e7986d28fe3d163ec40bf841617b3ad9ade2c95ddb84ad674319292ce9c6cdb2"
+LIBRARY_FIT_DIGEST = "631a38baa9104cf5c60a7abd0d4a4f6a7b73932ffe5839439833a65cd58d253b"
 
 
 class TestSharedAnalysis:
